@@ -4,10 +4,8 @@ Triebel-Lizorkin spaces on domains with singular sets."""
 from .errors import (KlabError, SingularPoint, OutsideCover, CoverageGap,
                      InvalidParams, Unsupported, EmptyFamily,
                      UndeterminedByPaper)
-from .geometry import (ModelDomain, PolygonSingularSet, DyadicCube,
-                       WhitneyCover, PartitionOfUnity, whitney_cover,
-                       partition_of_unity, regularized_distance,
-                       distance_to_singular_set)
+from .geometry import (ModelDomain, WhitneyCover, PartitionOfUnity,
+                       whitney_cover, regularized_distance)
 from .testfns import (TestFunction, MembershipVerdict, make_test_function,
                       kondratiev_membership, f_space_membership_radial)
 from .norms import (SpaceParams, NormValue, kondratiev_norm, sobolev_norm,

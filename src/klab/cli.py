@@ -1,6 +1,8 @@
 """Command-line front end: decisions, norms, covers, experiments, reports.
 
-Exit codes: 0 success / check passed, 1 failed check, 2 invalid input.
+Exit codes: 0 success / check passed / Holds, 1 failed check / Fails,
+2 invalid input, 3 an UndeterminedByPaper verdict.  Every experiment writes
+and re-reads its results through one report protocol (klab.verify).
 Every JSON output embeds the resolved run configuration (cover constants,
 quadrature order, thread cap) under schema "klab-report/1".
 """
@@ -20,6 +22,7 @@ SCHEMA = "klab-report/1"
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INVALID = 2
+EXIT_UNDETERMINED = 3
 
 
 def _thread_cap():
@@ -55,9 +58,12 @@ def _run_config(args, extra=None):
     return cfg
 
 
-def _emit(args, name, config, stats, passed, csv_rows=None):
-    doc = {"schema": SCHEMA, "experiment": name, "params": config,
-           "pass": bool(passed), "statistics": stats}
+def _emit(args, name, config, report):
+    """Print a report's JSON document; with --out also store it and the
+    report's CSV rows (csv writes floats by repr: they round-trip exactly)."""
+    doc = {"schema": SCHEMA, "experiment": name,
+           "report": type(report).__name__, "params": config,
+           "pass": bool(report.passed), "statistics": report.to_json()}
     print(json.dumps(doc, indent=2, default=str))
     out = getattr(args, "out", None)
     if out:
@@ -65,13 +71,11 @@ def _emit(args, name, config, stats, passed, csv_rows=None):
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{name}.json").write_text(
             json.dumps(doc, indent=2, default=str))
-        if csv_rows is not None:
+        rows = list(report.csv_rows())
+        if rows:
             with open(outdir / f"{name}.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                for row in csv_rows:
-                    w.writerow([repr(v) if isinstance(v, float) else v
-                                for v in row])
-    return EXIT_OK if passed else EXIT_FAILED
+                csv.writer(fh).writerows(rows)
+    return EXIT_OK if report.passed else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -79,35 +83,24 @@ def _emit(args, name, config, stats, passed, csv_rows=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_decide(args):
-    from .embeddings import decide_embedding, HOLDS, FAILS
-    v = decide_embedding(args.m, args.a, args.p, args.tau, args.d,
-                         args.delta)
+    """decide, decide-reverse, decide-holder: print the verdict and its
+    JSON; exit 0 for Holds, 1 for Fails, 3 for UndeterminedByPaper."""
+    from . import embeddings as emb
+    extra = {}
+    if args.command == "decide-holder":
+        v, route = emb.decide_embedding_holder_route(
+            args.m, args.a, args.p, args.tau, args.d, args.ell)
+        extra["route"] = {"applies": route.applies, "eta": route.eta,
+                          "r": route.r}
+    else:
+        decide = emb.decide_embedding if args.command == "decide" \
+            else emb.decide_reverse_embedding
+        v = decide(args.m, args.a, args.p, args.tau, args.d, args.delta)
     print(v.outcome)
     print(json.dumps({"schema": SCHEMA, "params": _run_config(args),
-                      "verdict": v.to_json()}, indent=2))
-    return {HOLDS: EXIT_OK, FAILS: EXIT_FAILED}.get(v.outcome, EXIT_INVALID)
-
-
-def _cmd_decide_reverse(args):
-    from .embeddings import decide_reverse_embedding, HOLDS, FAILS
-    v = decide_reverse_embedding(args.m, args.a, args.p, args.tau, args.d,
-                                 args.delta)
-    print(v.outcome)
-    print(json.dumps({"schema": SCHEMA, "params": _run_config(args),
-                      "verdict": v.to_json()}, indent=2))
-    return {HOLDS: EXIT_OK, FAILS: EXIT_FAILED}.get(v.outcome, EXIT_INVALID)
-
-
-def _cmd_decide_holder(args):
-    from .embeddings import decide_embedding_holder_route, HOLDS, FAILS
-    v, route = decide_embedding_holder_route(args.m, args.a, args.p,
-                                             args.tau, args.d, args.ell)
-    print(v.outcome)
-    print(json.dumps({"schema": SCHEMA, "params": _run_config(args),
-                      "verdict": v.to_json(),
-                      "route": {"applies": route.applies, "eta": route.eta,
-                                "r": route.r}}, indent=2))
-    return {HOLDS: EXIT_OK, FAILS: EXIT_FAILED}.get(v.outcome, EXIT_INVALID)
+                      "verdict": v.to_json(), **extra}, indent=2))
+    return {emb.HOLDS: EXIT_OK, emb.FAILS: EXIT_FAILED,
+            emb.UNDETERMINED: EXIT_UNDETERMINED}[v.outcome]
 
 
 def _cmd_pde_tau(args):
@@ -131,14 +124,14 @@ def _cmd_norm(args):
                         rloc_norm_weighted)
     from .geometry import whitney_cover, PartitionOfUnity
     from .testfns import make_test_function, kondratiev_membership
+    from .verify import SummaryReport
     domain = ModelDomain(args.d, args.ell)
     u = make_test_function(args.beta, args.lam, args.R, domain)
     r = max(int(math.ceil(2 * args.R)), 1)
     cover = whitney_cover(domain, ((-r,) * args.d, (r,) * args.d),
                           args.j_max)
-    tau = args.tau if args.tau is not None and args.tau > 0 else None
     params = SpaceParams(m=args.m, a=args.a, p=args.p, d=args.d,
-                         ell=args.ell, tau=tau)
+                         ell=args.ell, tau=args.tau)
     member = kondratiev_membership(u, args.m, args.a, args.p).member
     if args.kind == "kondratiev":
         nv = kondratiev_norm(u, params, cover, args.nodes,
@@ -155,58 +148,25 @@ def _cmd_norm(args):
     stats = nv.to_json()
     stats["oracleMember"] = member
     return _emit(args, f"norm-{args.kind}",
-                 _run_config(args, {"function": u.to_json()}), stats,
-                 passed=True)
+                 _run_config(args, {"function": u.to_json()}),
+                 SummaryReport(stats))
 
 
 def _cmd_whitney(args):
     from .geometry import ModelDomain, whitney_cover
+    from .verify import CoverReport
     domain = ModelDomain(args.d, args.ell)
     r = args.radius
     cover = whitney_cover(domain, ((-r,) * args.d, (r,) * args.d),
                           args.j_max)
-    stats = {"counts": {str(j): c for j, c in sorted(cover.counts.items())},
-             "totalVolume": cover.total_volume(),
-             "boxVolume": cover.box_volume(),
-             "uncoveredVolume": cover.uncovered_volume}
-    rows = [("level", "k", "dist")]
-    data = json.loads(cover.to_json())
-    for rec in data["cubes"]:
-        rows.append((rec["level"], " ".join(map(str, rec["k"])),
-                     rec["dist"]))
-    return _emit(args, "whitney", _run_config(args), stats, passed=True,
-                 csv_rows=rows)
-
-
-def _csvable(result):
-    """Normalize an experiment result into (stats, passed, csv_rows)."""
-    if hasattr(result, "csv_rows"):       # RatioReport / DivergenceReport
-        stats = result.to_json()
-        return stats, result.passed, list(result.csv_rows())
-    if isinstance(result, dict):
-        passed = result.get("passed", False)
-        rows = None
-        for key, header in (("rows", None), ("cells", None),
-                            ("cases", None)):
-            if key in result and result[key]:
-                items = result[key]
-                cols = sorted(items[0].keys()) if isinstance(items[0], dict) \
-                    else None
-                if cols:
-                    rows = [tuple(cols)] + [tuple(it[c] for c in cols)
-                                            for it in items]
-                break
-        stats = {k: v for k, v in result.items()
-                 if k not in ("rows", "cells", "cases")}
-        return stats, passed, rows
-    return {"result": result}, bool(result), None
+    return _emit(args, "whitney", _run_config(args), CoverReport(cover))
 
 
 def _cmd_verify(args):
     from .verify import EXPERIMENTS, check_counterexample_divergence
     name = args.name
     if name in ("counterexample", "divergence") and args.m is not None:
-        result = check_counterexample_divergence(
+        report = check_counterexample_divergence(
             m=args.m, a=args.a if args.a is not None else 0.0,
             p=args.p if args.p is not None else 2.0,
             tau=args.tau if args.tau is not None else 1.0,
@@ -214,51 +174,18 @@ def _cmd_verify(args):
             lam=args.lam if args.lam is not None else 0.0)
         name = "divergence"
     elif name in EXPERIMENTS:
-        result = EXPERIMENTS[name]()
-        if hasattr(result, "to_json"):
-            pass
+        report = EXPERIMENTS[name]()
     else:
         print(f"unknown experiment {name!r}; known: "
               f"{', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return EXIT_INVALID
-    if isinstance(result, dict) and "ratios" in result:
-        # registry entries already serialized ratio reports
-        stats, passed = result, result.get("passed", False)
-        rows = [("ratio",)] + [(r,) for r in result["ratios"]]
-    else:
-        stats, passed, rows = _csvable(result)
-    return _emit(args, name, _run_config(args), stats, passed, rows)
-
-
-def _recompute_from_csv(name, rows, stored):
-    """Recompute the headline statistic of a stored run from its CSV."""
-    if not rows:
-        return None
-    header = rows[0]
-    body = rows[1:]
-    if "ratio" in header:
-        i = header.index("ratio")
-        ratios = [float(r[i]) for r in body]
-        if not ratios:
-            return None
-        return {"spread": max(ratios) / min(ratios)}
-    if header[:2] == ["eps", "value"]:
-        return {"ladderLength": len(body),
-                "monotone": all(float(body[i][1]) <= float(body[i + 1][1])
-                                for i in range(len(body) - 1))}
-    if "agree" in header:
-        i = header.index("agree")
-        return {"pass": all(r[i] == "True" for r in body)}
-    if "verdict" in header and "literal" in header:
-        iv, il = header.index("verdict"), header.index("literal")
-        return {"pass": all(r[iv] == r[il] for r in body)}
-    if "passed" in header:
-        i = header.index("passed")
-        return {"pass": all(r[i] == "True" for r in body)}
-    return None
+    return _emit(args, name, _run_config(args), report)
 
 
 def _cmd_report(args):
+    """Recompute each stored CSV's statistics with its report type and
+    check that they equal the stored JSON (`roundTrip`)."""
+    from .verify import REPORT_TYPES
     outdir = Path(args.out)
     if not outdir.is_dir():
         print(f"no such directory: {outdir}", file=sys.stderr)
@@ -275,19 +202,13 @@ def _cmd_report(args):
         line = {"experiment": name, "pass": doc["pass"]}
         if cf.exists():
             with open(cf, newline="") as fh:
-                rows = list(csv.reader(fh))
-            recomputed = _recompute_from_csv(name, rows, doc)
-            if recomputed is not None:
-                line["recomputed"] = recomputed
-                if "spread" in recomputed:
-                    stored = doc["statistics"].get("spread")
-                    match = stored is not None and math.isclose(
-                        recomputed["spread"], stored, rel_tol=1e-12)
-                    line["roundTrip"] = match
-                    ok = ok and match
-                elif "pass" in recomputed:
-                    line["roundTrip"] = recomputed["pass"] == doc["pass"]
-                    ok = ok and line["roundTrip"]
+                rows = list(csv.DictReader(fh))
+            report = REPORT_TYPES.get(doc.get("report"))
+            recomputed = report.recompute(rows) if report else {}
+            line["recomputed"] = recomputed
+            line["roundTrip"] = bool(recomputed) and all(
+                doc["statistics"].get(k) == v for k, v in recomputed.items())
+            ok = ok and line["roundTrip"]
         ok = ok and doc["pass"]
         print(json.dumps(line))
     if not found:
@@ -300,12 +221,11 @@ def _cmd_report(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_space_args(sp, tau_default=None):
+def _add_space_args(sp, tau_required=True):
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--tau", type=float, default=tau_default,
-                    required=tau_default is None)
+    sp.add_argument("--tau", type=float, default=None, required=tau_required)
     sp.add_argument("--d", type=int, required=True)
 
 
@@ -323,12 +243,12 @@ def build_parser():
     sp = sub.add_parser("decide-reverse", help="reverse embedding")
     _add_space_args(sp)
     sp.add_argument("--delta", type=int, required=True)
-    sp.set_defaults(func=_cmd_decide_reverse)
+    sp.set_defaults(func=_cmd_decide)
 
     sp = sub.add_parser("decide-holder", help="Hoelder-route sufficiency")
     _add_space_args(sp)
     sp.add_argument("--ell", type=int, required=True)
-    sp.set_defaults(func=_cmd_decide_holder)
+    sp.set_defaults(func=_cmd_decide)
 
     sp = sub.add_parser("pde-tau", help="critical tau for PDE regularity")
     sp.add_argument("--m", type=int, required=True)
@@ -347,7 +267,7 @@ def build_parser():
     sp.add_argument("--kind", choices=["kondratiev", "sobolev", "sharp",
                                        "rloc-weighted", "rloc-localized"],
                     required=True)
-    _add_space_args(sp, tau_default=-1.0)
+    _add_space_args(sp, tau_required=False)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0)

@@ -1,10 +1,9 @@
 """Domains, distance functions, Whitney decompositions, partitions of unity.
 
-Two kinds of singular geometry are supported: the model domains
-R^d minus the plane R^ell x {0}^(d-ell), and planar vertex sets (polygon
-corners).  Whitney covers are enumerated greedily level by level; the
-frozen certificate constants are ``C1 = 1`` (lower), ``C2 = 4 sqrt(d)``
-(upper) and ``C0_LEVEL0 = 1`` for the coarsest level.
+The domains are R^d minus the plane R^ell x {0}^(d-ell); d = 2, ell = 0 is
+a planar vertex singularity.  Whitney covers are enumerated greedily level
+by level; the frozen certificate constants are ``C1 = 1`` (lower),
+``C2 = 4 sqrt(d)`` (upper) and ``C0_LEVEL0 = 1`` for the coarsest level.
 """
 
 import json
@@ -33,10 +32,6 @@ class ModelDomain:
         if not (1 <= self.d <= 3 and 0 <= self.ell < self.d):
             raise InvalidParams(f"need 0 <= ell < d <= 3, got d={self.d}, ell={self.ell}")
 
-    @property
-    def codim(self):
-        return self.d - self.ell
-
     def distance(self, x):
         """dist(x, S) = |x''|, vectorized over points of shape (d, n)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -53,82 +48,16 @@ class ModelDomain:
         return np.sqrt(np.sum(nearest ** 2, axis=1))
 
 
-@dataclass(frozen=True)
-class PolygonSingularSet:
-    """Finite vertex set in the plane (polygon corners), d = 2, delta = 0."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(tuple(map(float, p)) for p in self.points)
-        if len(set(pts)) != len(pts) or not pts:
-            raise InvalidParams("vertices must be nonempty and pairwise distinct")
-        object.__setattr__(self, "points", pts)
-
-    d = 2
-    ell = 0  # singular-set dimension
-
-    @property
-    def codim(self):
-        return 2
-
-    def distance(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] != 2:
-            x = x.T
-        dists = [np.sqrt((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2) for p in self.points]
-        return np.min(dists, axis=0)
-
-    def cube_distance(self, lo, hi):
-        lo = np.atleast_2d(np.asarray(lo, dtype=float))
-        hi = np.atleast_2d(np.asarray(hi, dtype=float))
-        best = None
-        for p in self.points:
-            nearest = np.clip(p, lo, hi)
-            dist = np.sqrt(np.sum((nearest - p) ** 2, axis=1))
-            best = dist if best is None else np.minimum(best, dist)
-        return best
-
-
-SOFTMIN_POWER = 8  # negative-power soft-min exponent for multi-vertex distance
-
-
-def distance_to_singular_set(x, domain):
-    """Exact distance to the singular set; raises on singular points."""
-    dist = domain.distance(x)
-    if np.any(dist == 0.0):
-        raise SingularPoint("point lies on the singular set")
-    return dist if dist.ndim else float(dist)
-
-
-def _smoothed_distance_from_jets(coords, domain):
-    """Pre-cap smooth distance as a jet of the coordinate jets `coords`.
-
-    Model domains use |x''| directly (smooth off S); polygons combine the
-    per-vertex distances by the negative-power soft-min.
-    """
-    if isinstance(domain, ModelDomain):
-        return norm_jet(coords, which=range(domain.ell, domain.d))
-    # polygon: softmin_k (sum_i d_i^-k)^(-1/k)
-    k = SOFTMIN_POWER
-    total = None
-    for p in domain.points:
-        di = norm_jet([coords[0] - p[0], coords[1] - p[1]])
-        term = di.power(-k)
-        total = term if total is None else total + term
-    return total.power(-1.0 / k)
-
-
 def regularized_distance_from_jets(coords, domain):
-    """Jet of rho = eta(smoothed distance) built from coordinate jets."""
-    raw = _smoothed_distance_from_jets(coords, domain)
+    """Jet of rho = eta(|x''|) built from coordinate jets."""
+    raw = norm_jet(coords, which=range(domain.ell, domain.d))
     if np.any(raw.value <= 0.0):
         raise SingularPoint("point lies on the singular set")
     return raw.compose(CAP.derivs(raw.value, raw.order))
 
 
 def regularized_distance_jet(x, domain, order=MAX_ORDER):
-    """Jet of rho = eta(smoothed distance) at points x of shape (d, n)."""
+    """Jet of rho = eta(|x''|) at points x of shape (d, n)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     return regularized_distance_from_jets(Jet.variables(x, order), domain)
 
@@ -138,15 +67,7 @@ def regularized_distance(x, domain):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != domain.d:
         x = x.T
-    if isinstance(domain, ModelDomain):
-        raw = domain.distance(x)
-    else:
-        dists = np.stack([np.sqrt((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2)
-                          for p in domain.points])
-        if np.any(dists == 0.0):
-            raise SingularPoint("point lies on the singular set")
-        k = SOFTMIN_POWER
-        raw = np.sum(dists ** (-k), axis=0) ** (-1.0 / k)
+    raw = domain.distance(x)
     if np.any(raw == 0.0):
         raise SingularPoint("point lies on the singular set")
     out = CAP(raw)
@@ -156,28 +77,6 @@ def regularized_distance(x, domain):
 # ---------------------------------------------------------------------------
 # Whitney covers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Q_{j,k} = 2^-j ((0,1)^d + k)."""
-
-    j: int
-    k: tuple
-
-    @property
-    def side(self):
-        return 2.0 ** (-self.j)
-
-    def bounds(self):
-        h = self.side
-        lo = np.array(self.k, dtype=float) * h
-        return lo, lo + h
-
-    def doubled_bounds(self):
-        lo, hi = self.bounds()
-        h = self.side
-        return lo - 0.5 * h, hi + 0.5 * h
-
 
 @dataclass
 class WhitneyCover:
@@ -201,12 +100,6 @@ class WhitneyCover:
     def box_volume(self):
         lo, hi = self.box
         return float(np.prod(np.asarray(hi) - np.asarray(lo)))
-
-    def cubes(self, j):
-        return [DyadicCube(j, tuple(int(v) for v in row)) for row in self.levels.get(j, [])]
-
-    def level_key_set(self, j):
-        return {tuple(int(v) for v in row) for row in self.levels.get(j, ())}
 
     def to_json(self):
         records = []
@@ -376,13 +269,6 @@ class PartitionOfUnity:
             raise OutsideCover("point outside the covered region")
         return self.bump_jet(j, k, x, order) / psi
 
-    def evaluate_sum(self, x):
-        """sum phi = 1 on the covered region (errors where psi vanishes)."""
-        psi = self.psi_jet(x, order=0)
-        if np.any(psi.value < PSI_FLOOR):
-            raise OutsideCover("point outside the covered region")
-        return np.ones_like(psi.value)
-
     def overlap_count(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         count = np.zeros(x.shape[1], dtype=int)
@@ -391,6 +277,3 @@ class PartitionOfUnity:
             count[ixs] += (vals != 0.0).astype(int)
         return count
 
-
-def partition_of_unity(cover):
-    return PartitionOfUnity(cover)

@@ -19,25 +19,17 @@ def multi_indices(dim, order):
     """All multi-indices of length `dim` with total degree <= `order`,
     sorted by (degree, lexicographic)."""
     idx = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            idx.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
     for deg in range(order + 1):
         block = []
 
-        def rec2(prefix, left, slots):
+        def rec(prefix, left, slots):
             if slots == 1:
                 block.append(tuple(prefix + [left]))
                 return
             for k in range(left + 1):
-                rec2(prefix + [k], left - k, slots - 1)
+                rec(prefix + [k], left - k, slots - 1)
 
-        rec2([], deg, dim)
+        rec([], deg, dim)
         idx.extend(sorted(block))
     return tuple(idx)
 
@@ -54,12 +46,6 @@ def _mul_table(dim, order):
             if sum(c) <= order:
                 table.append((i, j, pos[c]))
     return table
-
-
-@lru_cache(maxsize=None)
-def _alpha_factorials(dim, order):
-    idx = multi_indices(dim, order)
-    return np.array([float(np.prod([factorial(k) for k in a])) for a in idx])
 
 
 class Jet:

@@ -9,7 +9,6 @@ truncation ladders for nonnegative integrands.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,9 +16,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidParams, Unsupported
-from .jets import Jet, multi_indices
+from .jets import multi_indices
 from .profiles import MAX_ORDER
-from .testfns import TestFunction
+from .testfns import TestFunction, classify_radial_exponent
 
 FINITE = "Finite"
 DIVERGENT = "Divergent"
@@ -34,7 +33,7 @@ TAIL_SHARE_LIMIT = 0.10    # localized-norm tail diagnostic threshold
 @dataclass(frozen=True)
 class SpaceParams:
     """Parameter bundle (m, a, p, tau, q=2) over a d-dimensional domain with
-    an ell-dimensional (model) or delta-dimensional (polygon) singular set."""
+    an ell-dimensional singular set."""
 
     m: int
     a: float
@@ -172,8 +171,7 @@ def weighted_lp_norm(u, w, p, cover, nodes_per_dim=DEFAULT_NODES,
 
     def integrand(x):
         rho = _rho_values(x, domain)
-        vals = u(x) if not isinstance(u, TestFunction) else u(x)
-        return np.abs(rho ** w * vals) ** p
+        return np.abs(rho ** w * u(x)) ** p
 
     ladder, _ = integral_ladder(cover, integrand, nodes_per_dim)
     return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
@@ -319,21 +317,11 @@ def rloc_norm_weighted(u, params, cover, nodes_per_dim=DEFAULT_NODES,
     smooth = sobolev_norm(u, m, tau, cover, nodes_per_dim)
     weighted = weighted_lp_norm(u, -m, tau, cover, nodes_per_dim,
                                 oracle_member)
-    truncs = [(e1, v1 + v2) for (e1, v1), (_, v2)
-              in zip(_align(smooth.truncations, weighted.truncations),
-                     weighted.truncations)]
+    truncs = [(e, v1 + v2) for (e, v1), (_, v2)
+              in zip(smooth.truncations, weighted.truncations, strict=True)]
     cls = classify_truncations(truncs, oracle_member)
     return NormValue(value=truncs[-1][1], truncations=truncs,
                      classification=cls, quadrature_order=nodes_per_dim)
-
-
-def _align(a, b):
-    """Pad the shorter rooted ladder by repeating its last entry."""
-    if len(a) == len(b):
-        return a
-    if len(a) < len(b):
-        return a + [a[-1]] * (len(b) - len(a))
-    return a[:len(b)]
 
 
 def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
@@ -352,8 +340,8 @@ def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
         v, top, lambda rho, al: 1.0, p, cover, nodes_per_dim)
     top_truncs = [(e, val ** (1.0 / p)) for e, val in ladder]
     low = weighted_lp_norm(u, -a, p, cover, nodes_per_dim)
-    truncs = [(e1, v1 + v2) for (e1, v1), (_, v2)
-              in zip(_align(top_truncs, low.truncations), low.truncations)]
+    truncs = [(e, v1 + v2) for (e, v1), (_, v2)
+              in zip(top_truncs, low.truncations, strict=True)]
     cls = classify_truncations(truncs, oracle_member)
     return NormValue(value=truncs[-1][1], truncations=truncs,
                      classification=cls, quadrature_order=nodes_per_dim)
@@ -369,12 +357,10 @@ def multiply_by_rho_power(u, gamma):
 # ---------------------------------------------------------------------------
 
 def classify_radial_integral(e, g):
-    """int_0^R t^e (1+|log t|)^g dt: Finite iff e > -1, or e = -1 and g < -1."""
-    if e > -1.0:
-        return FINITE
-    if e == -1.0 and g < -1.0:
-        return FINITE
-    return DIVERGENT
+    """int_0^R t^e (1+|log t|)^g dt: Finite iff e > -1, or e = -1 and g < -1,
+    as decided by `testfns.classify_radial_exponent`."""
+    return FINITE if classify_radial_exponent(e + 1.0, g).member \
+        else DIVERGENT
 
 
 def radial_reference_integral(e, g, R=1.0, eps=0.0):

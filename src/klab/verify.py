@@ -6,33 +6,39 @@ family); reports carry the data needed to re-audit the decision.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import EmptyFamily, InvalidParams, Unsupported
+from .errors import EmptyFamily, InvalidParams
 from .geometry import (ModelDomain, PartitionOfUnity, whitney_cover)
 from .jets import Jet, norm_jet
 from .profiles import WINDOW
 from . import norms
-from .norms import (SpaceParams, classify_radial_integral, kondratiev_norm,
-                    kondratiev_piece_power, kondratiev_sharp_norm,
-                    multiply_by_rho_power, radial_reference_integral,
-                    rloc_norm_localized, rloc_norm_weighted, sobolev_norm,
-                    weighted_lp_norm, FINITE, DIVERGENT)
-from .testfns import (TestFunction, kondratiev_membership,
+from .norms import (SpaceParams, kondratiev_norm, kondratiev_piece_power,
+                    kondratiev_sharp_norm, multiply_by_rho_power,
+                    radial_reference_integral, rloc_norm_weighted,
+                    sobolev_norm, weighted_lp_norm, FINITE)
+from .testfns import (classify_radial_exponent, kondratiev_membership,
                       make_test_function)
 
 SPREAD_SAME_INTEGRABILITY = 50.0
 SPREAD_CROSS_INTEGRABILITY = 100.0
 DEFAULT_BETAS = (0.2, 0.5, 0.8, 1.2, 1.6, 2.0, 2.5)
 DEFAULT_LAMBDAS = (0.0, -0.7)
+SCALING_TOL = 1e-10        # relative error bound of the dilation identity
 
 
 # ---------------------------------------------------------------------------
 # Report types
+#
+# Every experiment returns a report with `passed`, `to_json()` and
+# `csv_rows()` (a header, then one row per record).  `recompute(rows)` takes
+# the stored CSV back as dicts of strings and returns statistics that must
+# equal the same keys of `to_json()`; `klab report` checks that they do.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -62,6 +68,10 @@ class RatioReport:
             yield (desc["beta"], desc["lambda"], desc["R"],
                    self.numerator_kind, self.denominator_kind, ratio)
 
+    @staticmethod
+    def recompute(rows):
+        return {"spread": _spread([float(r["ratio"]) for r in rows])}
+
 
 @dataclass
 class DivergenceReport:
@@ -83,8 +93,131 @@ class DivergenceReport:
 
     def csv_rows(self):
         yield ("eps", "value")
-        for e, v in self.ladder:
-            yield (e, v)
+        yield from self.ladder
+
+    @staticmethod
+    def recompute(rows):
+        return {"ladder": [[float(r["eps"]), float(r["value"])]
+                           for r in rows]}
+
+
+@dataclass
+class TableReport:
+    """A check's result dict with one CSV row per record in `result[KEY]`.
+
+    Subclasses choose KEY, COLUMNS and `row_passed`, the check's pass rule
+    for one record, which `recompute` applies to every stored row.
+    """
+
+    result: dict
+    KEY = None
+    COLUMNS = ()
+
+    @property
+    def passed(self):
+        return self.result["passed"]
+
+    def to_json(self):
+        return self.result
+
+    def csv_rows(self):
+        yield self.COLUMNS
+        for rec in self.result[self.KEY]:
+            yield tuple(rec[c] for c in self.COLUMNS)
+
+    @classmethod
+    def recompute(cls, rows):
+        return {"passed": all(cls.row_passed(r) for r in rows)}
+
+
+class TruthTableReport(TableReport):
+    KEY = "rows"
+    COLUMNS = ("m", "a", "p", "tau", "d", "delta", "verdict", "literal")
+
+    @staticmethod
+    def row_passed(row):
+        return row["verdict"] == row["literal"]
+
+
+class GridReport(TableReport):
+    KEY = "cells"
+    COLUMNS = ("beta", "a", "oracleMember", "classification", "agree")
+
+    @staticmethod
+    def row_passed(row):
+        return (row["classification"] == FINITE) == (
+            row["oracleMember"] == "True")
+
+
+class ScalingReport(TableReport):
+    KEY = "cases"
+    COLUMNS = ("k", "m", "p", "predictedFactor", "scaledSeminormPower",
+               "baseSeminormPower", "relativeError")
+
+    @staticmethod
+    def row_passed(row):
+        return _scaling_error(float(row["scaledSeminormPower"]),
+                              float(row["predictedFactor"]),
+                              float(row["baseSeminormPower"])) <= SCALING_TOL
+
+
+class GeometryReport(TableReport):
+    KEY = "domains"
+    COLUMNS = ("ell", "partitionSumError", "certificatesExact",
+               "growthRates")
+
+    @staticmethod
+    def row_passed(row):
+        return _partition_passed(float(row["partitionSumError"]),
+                                 row["certificatesExact"] == "True",
+                                 json.loads(row["growthRates"]),
+                                 int(row["ell"]))
+
+
+@dataclass
+class CoverReport:
+    """A Whitney cover (`klab whitney`): one CSV row per cube."""
+
+    cover: object
+    passed = True
+
+    def to_json(self):
+        cover = self.cover
+        return {"counts": {str(j): c for j, c in sorted(cover.counts.items())},
+                "totalVolume": cover.total_volume(),
+                "boxVolume": cover.box_volume(),
+                "uncoveredVolume": cover.uncovered_volume}
+
+    def csv_rows(self):
+        yield ("level", "k", "dist")
+        for rec in json.loads(self.cover.to_json())["cubes"]:
+            yield (rec["level"], " ".join(map(str, rec["k"])), rec["dist"])
+
+    @staticmethod
+    def recompute(rows):
+        counts = {}
+        for r in rows:
+            counts[r["level"]] = counts.get(r["level"], 0) + 1
+        return {"counts": counts}
+
+
+@dataclass
+class SummaryReport:
+    """Statistics without a table (`klab norm`)."""
+
+    stats: dict
+    passed = True
+
+    def to_json(self):
+        return self.stats
+
+    def csv_rows(self):
+        return ()
+
+
+REPORT_TYPES = {cls.__name__: cls for cls in (
+    RatioReport, DivergenceReport, TruthTableReport, GridReport,
+    ScalingReport, GeometryReport, CoverReport)}
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +237,22 @@ def standard_cover(domain, radius=3, j_max=12):
 
 
 def _spread(ratios):
-    return max(ratios) / min(ratios) if ratios else float("inf")
+    """max / min of the ratios; inf unless all are finite and positive."""
+    if ratios and all(np.isfinite(r) and r > 0 for r in ratios):
+        return max(ratios) / min(ratios)
+    return float("inf")
+
+
+def _scaling_error(lhs, factor, rhs):
+    """Relative error of the dilation identity lhs = factor * rhs."""
+    return abs(lhs - factor * rhs) / (factor * rhs) if rhs else 0.0
+
+
+def _partition_passed(sum_err, cert_ok, growth, ell):
+    """Pass rule of the partition diagnostics: sums of the partition exact
+    to 1e-10, exact certificates, level counts growing like 2^(j ell)."""
+    return (sum_err <= 1e-10 and cert_ok and bool(growth)
+            and all(abs(g - ell) <= 0.2 for g in growth))
 
 
 class DerivativeFunction:
@@ -199,12 +347,11 @@ def _ratio_report(kept, excluded, num_kind, den_kind, pairs, bound,
     if not kept:
         raise EmptyFamily("no admissible family members")
     ratios = [n / d for n, d in pairs]
-    ok = all(np.isfinite(r) and r > 0 for r in ratios)
-    spread = _spread(ratios) if ok else float("inf")
+    spread = _spread(ratios)
     return RatioReport(family=[u.to_json() for u in kept],
                        numerator_kind=num_kind, denominator_kind=den_kind,
                        ratios=ratios, spread=spread,
-                       passed=ok and spread < bound, spread_bound=bound,
+                       passed=bool(spread < bound), spread_bound=bound,
                        excluded=excluded, notes=notes or {})
 
 
@@ -325,7 +472,6 @@ def check_embedding_ratio(params, family, cover=None, J=10,
             low = weighted_lp_norm(u, -m, tau, cover, nodes_per_dim)
             den = kondratiev_norm(u, params, cover, nodes_per_dim)
             pairs.append((seq.value + low.value, den.value))
-            part = {e: v for e, v in seq.truncations}
             full = seq.value ** tau
             cut = seq.truncations[-4][1] ** tau if len(seq.truncations) > 3 \
                 else 0.0
@@ -365,22 +511,24 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
     its growth in eps is fitted against the predicted law.
     """
     beta = m - d / tau
-    e = (beta - m) * tau + (d - delta) - 1
+    # e_t: the exponent in classify_radial_exponent's form t^(e_t - 1)
+    e_t = (beta - m) * tau + (d - delta)
+    e = e_t - 1
     g = lam * tau
+    verdict = classify_radial_exponent(e_t, g)
     notes = {"beta": beta, "radialExponent": e, "logPower": g,
-             "critical": abs((m - a) - (d - delta) * (1 / tau - 1 / p))
-             < 1e-12}
+             "critical": verdict.boundary_case}
     ladder = [(2.0 ** -k, radial_reference_integral(e, g, R, 2.0 ** -k))
               for k in k_range]
     eps = np.array([x for x, _ in ladder])
     vals = np.array([y for _, y in ladder])
-    if classify_radial_integral(e, g) == FINITE:
+    if verdict.member:
         notes["flag"] = "not a counterexample: weighted power is finite"
         return DivergenceReport(ladder=ladder, fitted_exponent=0.0,
                                 predicted_exponent=0.0, residual=0.0,
                                 kondratiev_cauchy=True, passed=False,
                                 notes=notes)
-    if e == -1.0:
+    if verdict.boundary_case:
         predicted = 1.0 + g
         xs = 1.0 + np.log(1.0 / eps)
         notes["law"] = "(1 + log(1/eps))^c"
@@ -392,13 +540,14 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
 
     # Kondratiev-side Cauchy check, also via the radial reduction: the worst
     # norm term is int t^{(beta-a)p + d-delta-1} (1+|log t|)^{lam p} dt.
-    ek = (beta - a) * p + (d - delta) - 1
+    ek_t = (beta - a) * p + (d - delta)
+    ek = ek_t - 1
     gk = lam * p
-    member = classify_radial_integral(ek, gk) == FINITE
+    member = classify_radial_exponent(ek_t, gk).member
     notes["kondratievMember"] = member
     cauchy = False
     if member:
-        kv, prev = [], None
+        kv = []
         for k in range(4, 200, 4):
             v = radial_reference_integral(ek, gk, R, 2.0 ** -k) ** (1.0 / p)
             kv.append(v)
@@ -540,10 +689,10 @@ def check_scaling_homogeneity(u, m, p, k, cover=None,
             rhs += float(np.sum(np.abs(jet.derivative(al)) ** p * wts))
             lhs += float(np.sum(np.abs(sjet.derivative(al)) ** p * swts))
     factor = 2.0 ** (k * (m * p - d))
-    rel = abs(lhs - factor * rhs) / (factor * rhs) if rhs else 0.0
+    rel = _scaling_error(lhs, factor, rhs)
     return {"k": k, "m": m, "p": p, "predictedFactor": factor,
             "scaledSeminormPower": lhs, "baseSeminormPower": rhs,
-            "relativeError": rel, "passed": rel <= 1e-10}
+            "relativeError": rel, "passed": rel <= SCALING_TOL}
 
 
 def check_truth_table(n=200, seed=20260826):
@@ -621,12 +770,11 @@ def check_partition_diagnostics(domain, box=None, j_max=8, n_points=10000,
     growth = [math.log2(counts[j + 1] / counts[j]) for j in js[:-1]
               if j + 1 in counts and counts[j + 1] > 0 and j >= 2]
     tail = growth[-3:] if growth else []
-    growth_ok = bool(tail) and all(abs(g - domain.ell) <= 0.2 for g in tail)
     return {"partitionSumError": sum_err, "coveredFraction":
             float(covered.mean()), "certificatesExact": cert_ok,
             "levelCounts": {int(j): int(c) for j, c in counts.items()},
             "growthRates": tail, "ell": domain.ell,
-            "passed": sum_err <= 1e-10 and cert_ok and growth_ok}
+            "passed": _partition_passed(sum_err, cert_ok, tail, domain.ell)}
 
 
 def check_classification_grid(domain=None, m=1, p=2.0,
@@ -701,14 +849,14 @@ def check_dual_route(family=None, m=1, tau=1.5, J=9, j_max=12,
 # ---------------------------------------------------------------------------
 
 def _exp_truth_table():
-    return check_truth_table()
+    return TruthTableReport(check_truth_table())
 
 
 def _exp_norm_equivalence():
     domain = ModelDomain(2, 0)
     cover = standard_cover(domain, radius=2, j_max=12)
     return check_norm_equivalence_Kmm(default_family(domain), m=1, p=2.0,
-                                      domain=domain, cover=cover).to_json()
+                                      domain=domain, cover=cover)
 
 
 def _exp_localization():
@@ -716,13 +864,12 @@ def _exp_localization():
     cover = standard_cover(domain, radius=2, j_max=8)
     pou = PartitionOfUnity(cover)
     fam = default_family(domain, betas=(0.5, 1.2, 2.0), lambdas=(0.0,))
-    return check_localization(fam, m=1, a=0.5, p=2.0, cover=cover,
-                              pou=pou).to_json()
+    return check_localization(fam, m=1, a=0.5, p=2.0, cover=cover, pou=pou)
 
 
 def _exp_divergence():
     return check_counterexample_divergence(m=1, a=0.0, p=2.0, tau=1.0,
-                                           d=2, delta=0, lam=-0.7).to_json()
+                                           d=2, delta=0, lam=-0.7)
 
 
 def _exp_embedding_ratio():
@@ -730,7 +877,7 @@ def _exp_embedding_ratio():
     params = SpaceParams(m=2, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
     fam = default_family(domain, betas=(1.2, 1.5, 2.0), lambdas=(0.0,))
     cover = standard_cover(domain, radius=2, j_max=12)
-    return check_embedding_ratio(params, fam, cover=cover, J=10).to_json()
+    return check_embedding_ratio(params, fam, cover=cover, J=10)
 
 
 def _exp_scaling():
@@ -740,24 +887,23 @@ def _exp_scaling():
         u = make_test_function(2.5, 0.0, 1.0, domain)
         cover = standard_cover(domain, radius=2, j_max=10)
         out.append(check_scaling_homogeneity(u, m, p, k, cover=cover))
-    return {"cases": out, "passed": all(c["passed"] for c in out)}
+    return ScalingReport({"cases": out,
+                          "passed": all(c["passed"] for c in out)})
 
 
 def _exp_geometry():
-    out = {}
-    for ell in (0, 1):
-        domain = ModelDomain(2 if ell == 0 else 3, ell)
-        out[f"ell{ell}"] = check_partition_diagnostics(domain)
-    out["passed"] = all(v["passed"] for v in out.values())
-    return out
+    out = [check_partition_diagnostics(ModelDomain(2 + ell, ell))
+           for ell in (0, 1)]
+    return GeometryReport({"domains": out,
+                           "passed": all(v["passed"] for v in out)})
 
 
 def _exp_classification_grid():
-    return check_classification_grid()
+    return GridReport(check_classification_grid())
 
 
 def _exp_dual_route():
-    return check_dual_route().to_json()
+    return check_dual_route()
 
 
 EXPERIMENTS = {

@@ -8,7 +8,6 @@ over separable (tensor) wavelets on dyadic cubes chi_{j,k}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,10 +137,6 @@ class WaveletSystem:
     psi_table: np.ndarray
     first_moment: float                # int x phi(x) dx
 
-    @property
-    def support_length(self):
-        return len(self.filter) - 1
-
     def phi(self, x):
         """Scaling function by table interpolation (0 outside support)."""
         grid = np.arange(len(self.phi_table)) / 2.0 ** CASCADE_K
@@ -200,12 +195,6 @@ class CoefficientGrid:
         return sum(float(np.sum(arr ** 2))
                    for bands in self.levels.values()
                    for _, arr in bands.values())
-
-    def scale(self, c):
-        out = CoefficientGrid(self.d, self.J)
-        out.levels = {j: {g: (o, arr * c) for g, (o, arr) in bands.items()}
-                      for j, bands in self.levels.items()}
-        return out
 
     def max_abs_per_level(self):
         return {j: max((float(np.max(np.abs(arr))) if arr.size else 0.0)

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, JSON schema, report round-trip."""
 
+import csv
 import json
+import re
+from pathlib import Path
 
-import pytest
-
-from klab.cli import EXIT_FAILED, EXIT_INVALID, EXIT_OK, main
+from klab import verify
+from klab.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_OK, EXIT_UNDETERMINED,
+                      main)
+from klab.geometry import ModelDomain, PartitionOfUnity
+from klab.norms import SpaceParams
+from klab.testfns import make_test_function
 
 
 def run(capsys, *argv):
@@ -61,6 +67,22 @@ def test_decide_holder(capsys):
     assert out.splitlines()[0] == "Holds"
 
 
+def test_decide_holder_undetermined_exit_code(capsys):
+    # outside the Hoelder route's window: its own code, not invalid input
+    code, out = run(capsys, "decide-holder", "--m", "3", "--a", "0",
+                    "--p", "2", "--tau", "1", "--d", "2", "--ell", "0")
+    assert code == EXIT_UNDETERMINED
+    assert out.splitlines()[0] == "UndeterminedByPaper"
+
+
+def test_norm_negative_tau_is_invalid(capsys):
+    # --tau has no sentinel value: a negative tau is an error, not "no tau"
+    code = main(["norm", "--kind", "rloc-weighted", "--m", "1", "--a", "0.5",
+                 "--p", "2", "--d", "2", "--ell", "0", "--beta", "1.2",
+                 "--j-max", "6", "--tau", "-3"])
+    assert code == EXIT_INVALID
+
+
 def test_norm_subcommand(capsys):
     code, out = run(capsys, "norm", "--kind", "kondratiev", "--m", "1",
                     "--a", "0.5", "--p", "2", "--d", "2", "--ell", "0",
@@ -98,6 +120,92 @@ def test_verify_divergence_and_report_roundtrip(capsys, tmp_path):
     assert {"divergence", "truth-table"} <= names
     tt = next(rec for rec in lines if rec["experiment"] == "truth-table")
     assert tt["roundTrip"]
+
+
+def _readme_csv_columns():
+    """Experiment name -> CSV header, from the README's column table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    columns = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        if line.startswith("| `") and len(cells) >= 2:
+            for name in re.findall(r"`([^`]+)`", cells[0]):
+                columns[name] = cells[1].strip("`").split(", ")
+    return columns
+
+
+def _light_experiments():
+    """Every registry entry on a small family and j_max <= 6."""
+    dom = ModelDomain(2, 0)
+    cover = verify.standard_cover(dom, radius=2, j_max=6)
+    small = verify.standard_cover(dom, radius=2, j_max=3)
+    fam = verify.default_family(dom, betas=(1.2, 2.0), lambdas=(0.0,))
+    u = make_test_function(2.5, 0.0, 1.0, dom)
+    params = SpaceParams(m=2, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
+
+    def scaling():
+        case = verify.check_scaling_homogeneity(u, 1, 2, 3, cover=cover)
+        return verify.ScalingReport({"cases": [case],
+                                     "passed": case["passed"]})
+
+    def geometry():
+        diag = verify.check_partition_diagnostics(dom, j_max=6,
+                                                  n_points=500)
+        return verify.GeometryReport({"domains": [diag],
+                                      "passed": diag["passed"]})
+
+    return {
+        "truth-table": lambda: verify.TruthTableReport(
+            verify.check_truth_table(n=20)),
+        "norm-equivalence": lambda: verify.check_norm_equivalence_Kmm(
+            fam, 1, 2.0, dom, cover),
+        "localization": lambda: verify.check_localization(
+            fam[:1], 1, 0.5, 2.0, small, PartitionOfUnity(small)),
+        "divergence": verify.EXPERIMENTS["divergence"],
+        "embedding-ratio": lambda: verify.check_embedding_ratio(
+            params, fam[:1], cover=cover, J=5),
+        "scaling": scaling,
+        "geometry": geometry,
+        "classification-grid": lambda: verify.GridReport(
+            verify.check_classification_grid(betas=(1.0,),
+                                             a_values=(0.0, 1.5), j_max=6)),
+        "dual-route": lambda: verify.check_dual_route(
+            family=fam[:1], J=5, j_max=6, parseval_J=5),
+    }
+
+
+def test_every_experiment_writes_readme_columns_and_round_trips(
+        capsys, tmp_path, monkeypatch):
+    light = _light_experiments()
+    assert set(light) == set(verify.EXPERIMENTS)
+    for name, entry in light.items():
+        monkeypatch.setitem(verify.EXPERIMENTS, name, entry)
+    columns = _readme_csv_columns()
+    main(["whitney", "--d", "2", "--ell", "0", "--radius", "2",
+          "--j-max", "5", "--out", str(tmp_path)])
+    for name in light:
+        main(["verify", name, "--out", str(tmp_path)])
+    for name in [*light, "whitney"]:
+        with open(tmp_path / f"{name}.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == columns[name], name
+    capsys.readouterr()
+    main(["report", "--out", str(tmp_path)])
+    lines = [json.loads(line)
+             for line in capsys.readouterr().out.splitlines()]
+    assert {rec["experiment"] for rec in lines} == {*light, "whitney"}
+    assert all(rec["roundTrip"] is True for rec in lines), lines
+
+    # a ratio changed in the CSV no longer matches the stored spread
+    path = tmp_path / "norm-equivalence.csv"
+    rows = list(csv.reader(path.open(newline="")))
+    rows[1][-1] = repr(float(rows[1][-1]) * 2.0)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code, out = run(capsys, "report", "--out", str(tmp_path))
+    assert code == EXIT_FAILED
+    bad = next(json.loads(line) for line in out.splitlines()
+               if json.loads(line)["experiment"] == "norm-equivalence")
+    assert bad["roundTrip"] is False
 
 
 def test_report_empty_dir(tmp_path):

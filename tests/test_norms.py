@@ -145,6 +145,8 @@ def test_piece_powers_sum_to_global(dom):
     (0.5, 0.0, FINITE), (0.0, 0.0, FINITE), (-1.0 + 1e-9, 0.0, FINITE),
     (-1.0, 0.0, DIVERGENT), (-1.0, -0.5, DIVERGENT), (-1.0, -1.5, FINITE),
     (-1.0, -1.0, DIVERGENT), (-2.0, -3.0, DIVERGENT), (-1.5, 2.0, DIVERGENT),
+    # 1-ulp-scale noise around e = -1 is the equality case
+    (-0.9999999999999996, -1.4, FINITE), (-0.9999999999999996, 0.0, DIVERGENT),
 ])
 def test_classify_radial_integral(e, g, cls):
     assert classify_radial_integral(e, g) == cls

@@ -84,6 +84,20 @@ def test_divergence_power_case():
     assert r.fitted_exponent == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("tau", [0.7, 1.4])
+def test_divergence_critical_line_with_rounded_exponent(m, tau):
+    # a = m - d(1/tau - 1/p) with d = 3: the radial exponent comes out as
+    # -0.9999999999999996, which must still take the log-growth law
+    d, p, lam = 3, 2.0, -0.7
+    r = check_counterexample_divergence(m, m - d * (1 / tau - 1 / p), p, tau,
+                                        d, 0, lam)
+    assert r.notes["radialExponent"] != -1.0
+    assert r.notes["critical"] and "flag" not in r.notes
+    assert r.passed
+    assert r.fitted_exponent == pytest.approx(1.0 + lam * tau, abs=1e-4)
+
+
 def test_divergence_not_a_counterexample_flag():
     # lam tau < -1: the weighted power converges; flagged, not passed
     r = check_counterexample_divergence(1, 0.0, 2.0, 1.0, 2, 0, -1.5)
