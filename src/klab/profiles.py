@@ -16,6 +16,7 @@ derivatives 0..order at an array of points, the format consumed by
 :meth:`klab.jets.Jet.compose`.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -52,64 +53,63 @@ def smoothstep(t):
     return smoothstep_derivs(t, order=0)[0]
 
 
+def _chebyshev_in_x(eta):
+    """Chebyshev coefficients in x of the exact polynomial sum_k eta[k] u^k,
+    u = (1 + x)/2: Horner's scheme in the Chebyshev basis, with
+    x T_k = (T_k+1 + T_|k-1|)/2, scaled by 4 per step to stay in integers."""
+    den = math.lcm(*(Fraction(a).denominator for a in eta))
+    c = []
+    for step, a in enumerate(eta[::-1], start=1):
+        xc = [0] * (len(c) + 1)
+        for k, v in enumerate(c):
+            xc[k + 1] += v
+            xc[abs(k - 1)] += v
+        c = [2 * v + xv for v, xv in zip(c + [0], xc)]
+        c[0] += int(a * den) * 4 ** step
+    return np.array([Fraction(v, den * 4 ** len(eta)) for v in c], dtype=float)
+
+
 class DistanceCap:
     """Monotone C^4 cap eta with eta(t)=t for t<=1/2 and eta(t)=1 for t>=2.
 
     On the transition interval the derivative is the nonnegative polynomial
     a(1-S)^2 + b(1-S)^5 in u=(t-1/2)/(3/2); the rational weights a, b are
-    chosen so the cap reaches exactly 1 at t=2.
+    chosen so the cap reaches exactly 1 at t=2.  There eta and its
+    derivatives are polynomials of degree <= 46, built once in exact
+    rational arithmetic and stored as Chebyshev series in x = 2u - 1 (the
+    monomial form cancels catastrophically); Clenshaw's recurrence evaluates
+    them on the transition points only.
     """
 
     LO, HI = 0.5, 2.0
-    _A = float(Fraction(1965651386, 19083622761))
-    _B = 1.0 - _A
+    _A = Fraction(1965651386, 19083622761)
 
     def __init__(self):
-        # Gauss-Legendre rule exact for the degree-45 derivative polynomial.
-        x, w = np.polynomial.legendre.leggauss(24)
-        self._gl_x = 0.5 * (x + 1.0)
-        self._gl_w = 0.5 * w
-
-    def _h_derivs(self, u, order):
-        """Derivatives of the transition slope h(u) = a(1-S)^2 + b(1-S)^5."""
-        s = _poly_derivs(_S_COEF, u, order)
-        # univariate jet arithmetic in Taylor-coefficient form
-        from math import factorial
-        n = order
-        w = [-s[k] / factorial(k) for k in range(n + 1)]
-        w[0] = 1.0 - s[0]
-
-        def mul(p, q):
-            r = [np.zeros(np.shape(u)) for _ in range(n + 1)]
-            for i in range(n + 1):
-                for j in range(n + 1 - i):
-                    r[i + j] = r[i + j] + p[i] * q[j]
-            return r
-
-        w2 = mul(w, w)
-        w5 = mul(mul(w2, w2), w)
-        h = [self._A * a + self._B * b for a, b in zip(w2, w5)]
-        return [h[k] * factorial(k) for k in range(n + 1)]
+        P = np.polynomial.polynomial
+        w = np.array([1] + [-int(c) for c in _S_COEF[1:]],
+                     dtype=object)                       # 1 - S
+        w2 = P.polymul(w, w)                             # (1 - S)^2
+        h = P.polyadd(self._A * w2,
+                      (1 - self._A) * P.polymul(P.polymul(w2, w2), w))
+        eta = P.polyint(h * Fraction(3, 2))              # 1/2 + 3/2 int h
+        eta[0] = Fraction(1, 2)
+        self._series = []
+        for _ in range(MAX_ORDER + 1):
+            self._series.append(_chebyshev_in_x(eta))
+            eta = P.polyder(eta) * Fraction(2, 3)        # d/dt = 2/3 d/du
 
     def derivs(self, t, order=MAX_ORDER):
         t = np.asarray(t, dtype=float)
-        lo, hi = self.LO, self.HI
-        mid = (t > lo) & (t < hi)
-        u = np.where(mid, (t - lo) / 1.5, 0.5)
-        # value on the transition: 1/2 + 1.5 * int_0^u h
-        nodes = u[..., None] * self._gl_x  # (..., 24)
-        hvals = self._h_derivs(nodes, 0)[0]
-        integral = 1.5 * u * np.sum(hvals * self._gl_w, axis=-1)
-        val_mid = lo + integral
-        out = [np.where(mid, val_mid, np.where(t <= lo, t, 1.0))]
-        if order >= 1:
-            h = self._h_derivs(u, order - 1)
-            scale = 1.0
-            for k in range(1, order + 1):
-                dmid = h[k - 1] * scale
-                base = np.where(t <= lo, 1.0, 0.0) if k == 1 else np.zeros(t.shape)
-                out.append(np.where(mid, dmid, base))
-                scale /= 1.5
+        lo = self.LO
+        mid = (t > lo) & (t < self.HI)
+        x = (t[mid] - lo) * (4.0 / 3.0) - 1.0
+        out = []
+        for k in range(order + 1):
+            # identity below the transition, constant 1 above it
+            val = np.where(t <= lo, t if k == 0 else float(k == 1),
+                           float(k == 0))
+            val[mid] = np.polynomial.chebyshev.chebval(x, self._series[k])
+            out.append(val)
         return out
 
     def __call__(self, t):

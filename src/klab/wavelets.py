@@ -340,75 +340,48 @@ def _fine_box(coeffs):
     return np.floor(lo).astype(int), np.ceil(hi).astype(int)
 
 
-def f_sequence_norm(coeffs, s, tau, strip_rows=256):
+def f_sequence_norm(coeffs, s, tau):
     """L_tau norm of the square function of the coefficient grid.
 
     Returns a NormValue whose truncations list the partial norms including
     levels <= j; classification flips to Inconclusive when the last three
     levels carry more than 10% of the integral.
+
+    The square function restricted to levels <= j is constant on level-j
+    cells, so one unit slab of the box at a time it is accumulated coarse to
+    fine, S_j = upsample(S_j-1) + sum_G 4^{j(s+d/2)} lambda_{j,G}^2, and
+    integrated at level-j resolution.
     """
-    d, J = coeffs.d, coeffs.J
+    d = coeffs.d
     sigma = d * (1.0 / min(1.0, tau) - 1.0)
     if not (s > sigma or (tau >= 1.0 and s >= sigma)):
         raise InvalidParams("sequence norm requires s > sigma_{tau,2}")
     box = _fine_box(coeffs)
     if box is None:
-        return NormValue(value=0.0, truncations=[(2.0 ** -J, 0.0)],
+        return NormValue(value=0.0, truncations=[(2.0 ** -coeffs.J, 0.0)],
                          classification=FINITE, quadrature_order=0)
     lo, hi = box
-    nf = (hi - lo) * 2 ** J                      # fine cells per axis
     levels = sorted(coeffs.levels)
     partial = {j: 0.0 for j in levels}           # integral with levels <= j
-    cell_vol = 2.0 ** (-J * d)
-
-    n_rows = nf[0]
-    for r0 in range(0, n_rows, strip_rows):
-        r1 = min(r0 + strip_rows, n_rows)
-        sq = np.zeros((r1 - r0,) + tuple(nf[1:]))
+    for row in range(lo[0], hi[0]):
+        # the slab row <= x_0 < row + 1, in level-j cell indices [a, b)
+        a = np.array([row, *lo[1:]])
+        b = np.array([row + 1, *hi[1:]])
+        sq, prev = np.zeros(b - a), 0
         for j in levels:
-            fct = 2 ** (J - j)
+            for ax in range(d):
+                sq = np.repeat(sq, 2 ** (j - prev), axis=ax)
+            prev = j
             weight = 4.0 ** (j * (s + d / 2.0))
             for origin, arr in coeffs.levels[j].values():
-                if not arr.size:
+                k0 = np.maximum(a * 2 ** j, origin)
+                k1 = np.minimum(b * 2 ** j, np.add(origin, arr.shape))
+                if np.any(k0 >= k1):
                     continue
-                # coarse index ranges overlapping the strip / the fine box
-                c_lo = [lo[ax] * 2 ** j - origin[ax] for ax in range(d)]
-                sl, fine_off, fine_len = [], [], []
-                ok = True
-                for ax in range(d):
-                    if ax == 0:
-                        a = (r0 // fct) + c_lo[0]
-                        b = -(-r1 // fct) + c_lo[0]
-                    else:
-                        a = c_lo[ax]
-                        b = c_lo[ax] + nf[ax] // fct
-                    a0, b0 = max(a, 0), min(b, arr.shape[ax])
-                    if a0 >= b0:
-                        ok = False
-                        break
-                    sl.append(slice(a0, b0))
-                    fine_off.append((a0 - c_lo[ax]) * fct
-                                    - (r0 if ax == 0 else 0))
-                    fine_len.append((b0 - a0) * fct)
-                if not ok:
-                    continue
-                block = arr[tuple(sl)] ** 2 * weight
-                for ax in range(d):
-                    block = np.repeat(block, fct, axis=ax)
-                # clip the block into the strip window
-                tgt, src = [], []
-                for ax in range(d):
-                    limit = (r1 - r0) if ax == 0 else nf[ax]
-                    t0 = max(fine_off[ax], 0)
-                    t1 = min(fine_off[ax] + fine_len[ax], limit)
-                    if t0 >= t1:
-                        ok = False
-                        break
-                    tgt.append(slice(t0, t1))
-                    src.append(slice(t0 - fine_off[ax], t1 - fine_off[ax]))
-                if ok:
-                    sq[tuple(tgt)] += block[tuple(src)]
-            partial[j] += float(np.sum(sq ** (tau / 2.0))) * cell_vol
+                src = tuple(map(slice, k0 - origin, k1 - origin))
+                dst = tuple(map(slice, k0 - a * 2 ** j, k1 - a * 2 ** j))
+                sq[dst] += arr[src] ** 2 * weight
+            partial[j] += float(np.sum(sq ** (tau / 2.0))) * 2.0 ** (-j * d)
     truncs = [(2.0 ** -j, partial[j] ** (1.0 / tau)) for j in levels]
     total = partial[levels[-1]]
     out = NormValue(value=truncs[-1][1], truncations=truncs,

@@ -1,0 +1,66 @@
+"""The distance cap eta against its defining slope and its knees."""
+
+import numpy as np
+import pytest
+
+from klab.profiles import CAP, MAX_ORDER, smoothstep
+
+
+def slope(t):
+    """eta' on the transition: a(1-S)^2 + b(1-S)^5 at u = (t-1/2)/(3/2)."""
+    w = 1.0 - smoothstep((np.asarray(t) - CAP.LO) / 1.5)
+    a = float(CAP._A)
+    return a * w ** 2 + (1.0 - a) * w ** 5
+
+
+def integral_of_slope(t):
+    """int_{1/2}^t eta' by a 24-node Gauss-Legendre rule, exact for the
+    degree-45 slope."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * (t - CAP.LO)
+    return half * float(np.sum(w * slope(CAP.LO + half * (x + 1.0))))
+
+
+@pytest.mark.parametrize("t", [0.5001, 0.7, 1.0, 1.3, 1.9, 1.9999])
+def test_cap_is_the_integral_of_its_slope(t):
+    val, d1 = CAP.derivs(np.array([t]), order=1)
+    assert val[0] == pytest.approx(CAP.LO + integral_of_slope(t), abs=1e-14)
+    assert d1[0] == pytest.approx(slope(t), abs=1e-14)
+
+
+def test_cap_reaches_one_at_the_upper_knee():
+    assert CAP.LO + integral_of_slope(CAP.HI) == pytest.approx(1.0, abs=1e-14)
+    assert CAP.derivs(np.array([CAP.HI - 1e-12]), 0)[0][0] \
+        == pytest.approx(1.0, abs=1e-14)
+
+
+def test_cap_derivatives_match_finite_differences():
+    t = np.linspace(0.55, 1.95, 29)
+    h = 1e-6
+    lo, hi = CAP.derivs(t - h, MAX_ORDER), CAP.derivs(t + h, MAX_ORDER)
+    mid = CAP.derivs(t, MAX_ORDER)
+    for k in range(1, MAX_ORDER + 1):
+        fd = (hi[k - 1] - lo[k - 1]) / (2 * h)
+        assert np.allclose(fd, mid[k], rtol=1e-6, atol=1e-5 * 10 ** k), k
+
+
+def test_cap_is_c4_across_both_knees():
+    # the slope meets 1 and 0 to fifth order in u, so at distance eps inside
+    # a knee the k-th derivative is within O(eps^(6-k)) of the outer branch
+    eps = 1e-3
+    t = np.array([CAP.LO + eps, CAP.HI - eps])
+    got = CAP.derivs(t, MAX_ORDER)
+    outer = [np.array([t[0], 1.0]), np.array([1.0, 0.0])] \
+        + [np.zeros(2)] * (MAX_ORDER - 1)
+    for k in range(MAX_ORDER + 1):
+        assert np.allclose(got[k], outer[k], rtol=0,
+                           atol=1e4 * eps ** (6 - k) + 1e-13), k
+
+
+def test_cap_is_exact_outside_the_transition():
+    t = np.array([0.0, 1e-9, 0.25, 0.5, 2.0, 3.0, 1e6])
+    val, d1, d2 = CAP.derivs(t, order=2)
+    assert np.array_equal(val, np.where(t <= 0.5, t, 1.0))
+    assert np.array_equal(d1, np.where(t <= 0.5, 1.0, 0.0))
+    assert not d2.any()
+    assert float(CAP(np.float64(0.3))) == 0.3

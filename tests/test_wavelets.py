@@ -124,6 +124,39 @@ def test_sequence_norm_tau2_s0_is_l2(sys1):
     assert nv.value ** 2 == pytest.approx(grid.sum_of_squares(), rel=1e-10)
 
 
+def fine_grid_partial_norms(grid, s, tau):
+    """Partial norms straight from the definition: every level's squared
+    coefficients spread over its cubes on the finest dyadic grid."""
+    d, J = grid.d, grid.J
+    bands = [(j, np.asarray(o), a) for j, bs in grid.levels.items()
+             for o, a in bs.values()]
+    lo = np.min([np.floor(o * 2.0 ** -j) for j, o, _ in bands], axis=0)
+    hi = np.max([np.ceil((o + a.shape) * 2.0 ** -j) for j, o, a in bands],
+                axis=0)
+    sq = np.zeros(tuple(((hi - lo) * 2 ** J).astype(int)))
+    out = []
+    for j in sorted(grid.levels):
+        f = 2 ** (J - j)
+        for o, a in grid.levels[j].values():
+            block = np.kron(a ** 2, np.ones((f,) * d)) * 4.0 ** (j * (s + d / 2))
+            start = ((o - lo * 2 ** j) * f).astype(int)
+            sq[tuple(map(slice, start, start + block.shape))] += block
+        out.append((np.sum(sq ** (tau / 2)) * 2.0 ** (-J * d)) ** (1 / tau))
+    return out
+
+
+@pytest.mark.parametrize("d, s, tau", [(1, 1.0, 0.8), (2, 1.0, 0.9),
+                                       (2, 0.0, 2.0)])
+def test_sequence_norm_matches_fine_grid_square_function(sys1, d, s, tau):
+    def u(x):
+        return np.exp(-2.0 * np.sum(x ** 2, axis=0)) * (x[0] > -0.3)
+
+    grid = wavelet_coefficients(u, sys1, 5, ((-2.0,) * d, (2.0,) * d))
+    nv = f_sequence_norm(grid, s=s, tau=tau)
+    assert [v for _, v in nv.truncations] == pytest.approx(
+        fine_grid_partial_norms(grid, s, tau), rel=1e-12)
+
+
 def test_sequence_norm_guards_sigma(sys1):
     def u(x):
         return np.exp(-4.0 * x[0] ** 2)
