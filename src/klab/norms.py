@@ -28,6 +28,7 @@ DEFAULT_NODES = 8          # Gauss-Legendre nodes per dimension per cube
 CAUCHY_REL_TOL = 1e-3      # three consecutive relative increments below this
 TRUNCATION_K_MIN = 4       # coarsest truncation eps = 2^-4
 TAIL_SHARE_LIMIT = 0.10    # localized-norm tail diagnostic threshold
+PIECE_SLICE_NODES = 2 ** 15  # nodes per batch of the piece integrator
 
 
 @dataclass(frozen=True)
@@ -223,51 +224,43 @@ def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES,
     return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
 
 
-def _piece_sobolev_power(u, pou, j, ks, m, tau, nodes_per_dim):
-    """sum over level-j cubes of ||phi_{j,l} u | W^m_tau||^tau.
+def _piece_power_sum(u, pou, j, ks, m, weight, p, nodes_per_dim):
+    """Sum over the level-j cubes ks (N, d) of
+    int_{2Q} sum_{|alpha|<=m} weight(rho, alpha) |d^alpha(phi_{j,k} u)|^p.
 
     Each piece is integrated on its doubled cube with a tensor rule; phi is
     bump/psi, well defined on the open doubled cube (psi >= own bump > 0).
+    The nodes of all cubes are evaluated together, PIECE_SLICE_NODES at a
+    time, with per-point cube keys for the bumps.
     """
-    cover = pou.cover
-    d = len(cover.box[0])
+    d = pou.d
     unit, wts = _tensor_rule(d, nodes_per_dim)
+    n = wts.size
     side = 2.0 ** -j
-    orders = multi_indices(d, m)
+    per_slice = max(1, PIECE_SLICE_NODES // n)
     total = 0.0
-    for k in ks:
-        low = (np.asarray(k) - 0.5) * side
-        pts = low[:, None] + 2.0 * side * unit
-        w = wts * (2.0 * side) ** d
-        bump = pou.bump_jet(j, k, pts, order=m)
+    for start in range(0, len(ks), per_slice):
+        kk = ks[start:start + per_slice]
+        low = (kk - 0.5) * side
+        pts = (low.T[:, :, None] + 2.0 * side * unit[:, None, :]).reshape(d, -1)
+        w = np.tile(wts * (2.0 * side) ** d, len(kk))
+        bump = pou.bump_jet(j, np.repeat(kk.T, n, axis=1), pts, order=m)
         psi = pou.psi_jet(pts, order=m)
         piece = (bump / psi) * u.jet(pts, order=m)
-        power = 0.0
-        for alpha in orders:
-            power += float(np.sum(np.abs(piece.derivative(alpha)) ** tau * w))
-        total += power ** 1.0  # one piece's ||.||_{W^m_tau}^tau
+        rho = _rho_values(pts, pou.cover.domain)
+        for alpha in multi_indices(d, m):
+            total += float(np.sum(weight(rho, alpha)
+                                  * np.abs(piece.derivative(alpha)) ** p * w))
     return total
 
 
 def kondratiev_piece_power(u, pou, j, k, m, a, p, nodes_per_dim=DEFAULT_NODES):
-    """||phi_{j,k} u | K^m_{a,p}||^p for one cover cube, integrated on its
-    doubled cube with the exact product-rule jet of phi * u."""
-    cover = pou.cover
-    d = len(cover.box[0])
-    unit, wts = _tensor_rule(d, nodes_per_dim)
-    side = 2.0 ** -j
-    low = (np.asarray(k) - 0.5) * side
-    pts = low[:, None] + 2.0 * side * unit
-    w = wts * (2.0 * side) ** d
-    bump = pou.bump_jet(j, k, pts, order=m)
-    psi = pou.psi_jet(pts, order=m)
-    piece = (bump / psi) * u.jet(pts, order=m)
-    rho = _rho_values(pts, cover.domain)
-    power = 0.0
-    for alpha in multi_indices(d, m):
-        power += float(np.sum(rho ** ((sum(alpha) - a) * p)
-                              * np.abs(piece.derivative(alpha)) ** p * w))
-    return power
+    """sum_k ||phi_{j,k} u | K^m_{a,p}||^p over one level-j cube key k or a
+    key stack (N, d), each piece integrated on its doubled cube with the
+    exact product-rule jet of phi * u."""
+    return _piece_power_sum(u, pou, j, np.atleast_2d(k), m,
+                            lambda rho, al: rho ** ((sum(al) - a) * p), p,
+                            nodes_per_dim)
 
 
 def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
@@ -275,7 +268,7 @@ def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
     """Localized refined-localization norm
     (sum_{j,l} ||phi_{j,l} u | F^m_{tau,2}||^tau)^{1/tau} for 1 < tau < inf.
 
-    Pieces are measured by sobolev_norm (= F^m_{tau,2}); tau <= 1 requires
+    Pieces are measured in W^m_tau (= F^m_{tau,2}); tau <= 1 requires
     the wavelet sequence-norm route (wavelets module) instead.
     """
     m = params.m
@@ -285,14 +278,9 @@ def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
                           "use the wavelet sequence norm for tau <= 1")
     if m > MAX_ORDER:
         raise Unsupported(f"derivative order capped at {MAX_ORDER}")
-    per_level = {}
-    for j in sorted(cover.levels):
-        ks = cover.levels[j]
-        if not len(ks):
-            per_level[j] = 0.0
-            continue
-        per_level[j] = _piece_sobolev_power(u, pou, j, ks, m, tau,
-                                            nodes_per_dim)
+    per_level = {j: _piece_power_sum(u, pou, j, ks, m, lambda rho, al: 1.0,
+                                     tau, nodes_per_dim)
+                 for j, ks in cover.levels.items()}
     levels = sorted(per_level)
     ladder, running = [], 0.0
     for j in levels:

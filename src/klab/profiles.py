@@ -23,25 +23,21 @@ import numpy as np
 
 MAX_ORDER = 4
 
-# S and its derivatives, coefficient arrays in ascending powers.
+# S and its derivatives up to order MAX_ORDER, coefficient arrays in
+# ascending powers, built once.
 _S_COEF = np.array([0, 0, 0, 0, 0, 126, -420, 540, -315, 70], dtype=float)
-
-
-def _poly_derivs(coef, t, order):
-    t = np.asarray(t, dtype=float)
-    out = []
-    c = coef.copy()
-    for _ in range(order + 1):
-        out.append(np.polynomial.polynomial.polyval(t, c))
-        c = np.polynomial.polynomial.polyder(c)
-    return out
+_S_DERIV_COEFS = [_S_COEF]
+for _ in range(MAX_ORDER):
+    _S_DERIV_COEFS.append(np.polynomial.polynomial.polyder(_S_DERIV_COEFS[-1]))
 
 
 def smoothstep_derivs(t, order=MAX_ORDER):
     """S and derivatives; S=0 below 0 and S=1 above 1, C^4 at the knees."""
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
-    vals = _poly_derivs(_S_COEF, np.where(inside, t, 0.5), order)
+    tin = np.where(inside, t, 0.5)
+    vals = [np.polynomial.polynomial.polyval(tin, c)
+            for c in _S_DERIV_COEFS[:order + 1]]
     out = []
     for k, v in enumerate(vals):
         base = np.zeros(t.shape) if k else np.where(t >= 1.0, 1.0, 0.0)

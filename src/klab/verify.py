@@ -391,7 +391,11 @@ def check_sharp_norm(family, m, a, p, domain, cover=None,
 
 def check_localization(family, m, a, p, cover, pou,
                        nodes_per_dim=norms.DEFAULT_NODES):
-    """Global Kondratiev p-power vs the sum over Whitney pieces."""
+    """Global Kondratiev p-power vs the sum over Whitney pieces.
+
+    The local side is sum_{j,k} ||phi_{j,k} u | K^m_{a,p}||^p, one
+    kondratiev_piece_power call per non-empty level of the cover.
+    """
     domain = cover.domain
     kept, excluded = _filter_family(
         family, lambda u: kondratiev_membership(u, m, a, p).member,
@@ -400,11 +404,9 @@ def check_localization(family, m, a, p, cover, pou,
     pairs = []
     for u in kept:
         glob = kondratiev_norm(u, params, cover, nodes_per_dim).value ** p
-        local = 0.0
-        for j in sorted(cover.levels):
-            for k in cover.levels[j]:
-                local += kondratiev_piece_power(u, pou, j, k, m, a, p,
-                                                nodes_per_dim)
+        local = sum(kondratiev_piece_power(u, pou, j, ks, m, a, p,
+                                           nodes_per_dim)
+                    for j, ks in sorted(cover.levels.items()) if len(ks))
         pairs.append((glob, local))
     return _ratio_report(kept, excluded, "kondratiev^p",
                          "sum of piece powers", pairs,
@@ -505,12 +507,12 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
                                     k_range=range(4, 17)):
     """Sharpness at the critical line via the exact 1D radial reduction.
 
-    u_lam = rho^{m - d/tau} (1 + |log rho|)^lam: the truncated power
+    u_lam = rho^{m - (d-delta)/tau} (1 + |log rho|)^lam: the truncated power
     ||rho^{-m} u_lam||^tau_{L_tau(rho>eps)} reduces to
     int_eps^R t^{e}(1+|log t|)^{lam*tau} dt with e = (beta-m)tau + d-delta-1;
     its growth in eps is fitted against the predicted law.
     """
-    beta = m - d / tau
+    beta = m - (d - delta) / tau
     # e_t: the exponent in classify_radial_exponent's form t^(e_t - 1)
     e_t = (beta - m) * tau + (d - delta)
     e = e_t - 1

@@ -1,11 +1,13 @@
 """Acceptance gate: the nine headline checks at their stated tolerances.
 
 Each test prints a single PASS/FAIL line with its headline statistic and
-measured runtime, then asserts the stated tolerance and budget.
+measured runtime, appends it to acceptance.log at the repository root, then
+asserts the stated tolerance and budget.
 """
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +24,17 @@ from klab.verify import (check_counterexample_divergence, check_dual_route,
                          default_family, standard_cover)
 
 
+# every run appends its CRITERION lines here, outside pytest's capture
+ACCEPTANCE_LOG = Path(__file__).resolve().parent.parent / "acceptance.log"
+
+
 def report(n, ok, detail, seconds, budget):
     status = "PASS" if ok else "FAIL"
-    print(f"CRITERION {n}: {status} — {detail} "
-          f"[{seconds:.1f}s / budget {budget:.0f}s]")
+    line = (f"CRITERION {n}: {status} — {detail} "
+            f"[{seconds:.1f}s / budget {budget:.0f}s]")
+    print(line)
+    with open(ACCEPTANCE_LOG, "a", encoding="utf-8") as log:
+        log.write(line + "\n")
 
 
 def test_criterion_1_decision_truth_table():

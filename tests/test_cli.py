@@ -93,6 +93,14 @@ def test_norm_subcommand(capsys):
     assert doc["statistics"]["value"] > 0
 
 
+def test_norm_rloc_localized(capsys):
+    code, out = run(capsys, "norm", "--kind", "rloc-localized", "--m", "1",
+                    "--a", "0.5", "--p", "2", "--d", "2", "--ell", "0",
+                    "--beta", "1.2", "--j-max", "6")
+    assert code == EXIT_OK
+    assert json.loads(out)["statistics"]["value"] > 0
+
+
 def test_whitney_subcommand(capsys, tmp_path):
     code, out = run(capsys, "whitney", "--d", "2", "--ell", "0",
                     "--radius", "2", "--j-max", "5", "--out", str(tmp_path))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from klab import norms
 from klab.errors import Unsupported
 from klab.geometry import ModelDomain, PartitionOfUnity, whitney_cover
+from klab.jets import multi_indices
 from klab.norms import (DIVERGENT, FINITE, INCONCLUSIVE, SpaceParams,
                         classify_radial_integral, kondratiev_norm,
                         kondratiev_piece_power, kondratiev_sharp_norm,
@@ -134,9 +136,64 @@ def test_piece_powers_sum_to_global(dom):
     u = make_test_function(1.0, 0.0, 1.0, dom)
     params = SpaceParams(m=1, a=0.5, p=2.0, d=2, ell=0)
     glob = kondratiev_norm(u, params, cov).value ** 2
-    total = sum(kondratiev_piece_power(u, pou, j, k, 1, 0.5, 2.0)
-                for j in sorted(cov.levels) for k in cov.levels[j])
+    total = sum(kondratiev_piece_power(u, pou, j, ks, 1, 0.5, 2.0)
+                for j, ks in cov.levels.items() if len(ks))
     assert 1 / 50 < glob / total < 50
+
+
+def _small_pou(d, ell, j_max, lo=-1):
+    dom = ModelDomain(d, ell)
+    return PartitionOfUnity(whitney_cover(dom, ((lo,) * d, (1,) * d), j_max))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d,ell", [(2, 0), (2, 1), (3, 1)])
+def test_level_piece_power_equals_single_cube_sum(d, ell, m):
+    # d = 3 on [0, 1]^3 keeps the single-cube loop short
+    lo, j_max, nodes = (-1, 4, 4) if d == 2 else (0, 3, 2)
+    pou = _small_pou(d, ell, j_max, lo)
+    u = make_test_function(1.2, 0.0, 1.0, pou.cover.domain)
+    for j, ks in pou.cover.levels.items():
+        if not len(ks):
+            continue
+        level = kondratiev_piece_power(u, pou, j, ks, m, 0.5, 2.0, nodes)
+        single = sum(kondratiev_piece_power(u, pou, j, tuple(k), m, 0.5, 2.0,
+                                            nodes) for k in ks)
+        assert level == pytest.approx(single, rel=1e-12)
+
+
+def test_piece_power_slices_match_unsliced(monkeypatch):
+    pou = _small_pou(2, 1, 4)
+    u = make_test_function(1.2, 0.0, 1.0, pou.cover.domain)
+    levels = [(j, ks) for j, ks in pou.cover.levels.items() if len(ks)]
+    whole = [kondratiev_piece_power(u, pou, j, ks, 2, 0.5, 2.0)
+             for j, ks in levels]
+    # three 64-node cubes per slice, so every level takes several slices
+    monkeypatch.setattr(norms, "PIECE_SLICE_NODES", 3 * 64)
+    sliced = [kondratiev_piece_power(u, pou, j, ks, 2, 0.5, 2.0)
+              for j, ks in levels]
+    assert sliced == pytest.approx(whole, rel=1e-12)
+
+
+def test_rloc_localized_matches_per_cube_reference():
+    pou = _small_pou(2, 0, 4)
+    cov = pou.cover
+    u = make_test_function(1.2, 0.0, 1.0, cov.domain)
+    m, tau, nodes = 1, 1.5, 4
+    params = SpaceParams(m=m, a=1.0, p=2.0, d=2, ell=0, tau=tau)
+    unit, wts = norms._tensor_rule(2, nodes)
+    total = 0.0
+    for j, ks in cov.levels.items():
+        side = 2.0 ** -j
+        for k in ks:
+            pts = ((k - 0.5) * side)[:, None] + 2.0 * side * unit
+            phi = pou.bump_jet(j, k, pts, order=m) / pou.psi_jet(pts, order=m)
+            piece = phi * u.jet(pts, order=m)
+            total += sum(np.sum(np.abs(piece.derivative(al)) ** tau
+                                * wts * (2.0 * side) ** 2)
+                         for al in multi_indices(2, m))
+    value = rloc_norm_localized(u, params, cov, pou, nodes).value
+    assert value == pytest.approx(total ** (1.0 / tau), rel=1e-12)
 
 
 # --- radial integral classifier against closed forms ---

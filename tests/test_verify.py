@@ -98,6 +98,18 @@ def test_divergence_critical_line_with_rounded_exponent(m, tau):
     assert r.fitted_exponent == pytest.approx(1.0 + lam * tau, abs=1e-4)
 
 
+@pytest.mark.parametrize("d,delta", [(3, 1), (2, 1), (3, 2)])
+def test_divergence_critical_line_with_singular_dimension(d, delta):
+    # u = rho^{m - (d-delta)/tau}: with delta > 0 the exponent must use the
+    # codimension d - delta, or the radial exponent misses the critical line
+    m, p, tau, lam = 1, 2.0, 1.0, -0.7
+    a = m - (d - delta) * (1 / tau - 1 / p)
+    r = check_counterexample_divergence(m, a, p, tau, d, delta, lam)
+    assert r.notes["critical"] and r.notes["kondratievMember"]
+    assert r.passed
+    assert r.fitted_exponent == pytest.approx(1.0 + lam * tau, abs=1e-4)
+
+
 def test_divergence_not_a_counterexample_flag():
     # lam tau < -1: the weighted power converges; flagged, not passed
     r = check_counterexample_divergence(1, 0.0, 2.0, 1.0, 2, 0, -1.5)
