@@ -4,7 +4,8 @@ All integrals are computed by per-cube tensor Gauss-Legendre rules over a
 Whitney cover; the cover itself grades the nodes toward the singular set
 (cubes of level j have side 2^-j).  Truncated integrals over {dist > eps}
 are realized by summing levels j with 2^-j >= eps, which yields monotone
-truncation ladders for nonnegative integrands.
+truncation ladders for nonnegative integrands; a ladder makes one
+integrand call per slice of levels (`integral_ladder`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ DEFAULT_NODES = 8          # Gauss-Legendre nodes per dimension per cube
 CAUCHY_REL_TOL = 1e-3      # three consecutive relative increments below this
 TRUNCATION_K_MIN = 4       # coarsest truncation eps = 2^-4
 TAIL_SHARE_LIMIT = 0.10    # localized-norm tail diagnostic threshold
-PIECE_SLICE_NODES = 2 ** 15  # nodes per batch of the piece integrator
+SLICE_NODES = 2 ** 15      # nodes per integrand call of ladders and pieces
 
 
 @dataclass(frozen=True)
@@ -88,46 +89,47 @@ def _tensor_rule(d, n):
     return pts, wts
 
 
-def level_nodes(cover, j, nodes_per_dim=DEFAULT_NODES, doubled=False):
+def level_nodes(cover, j, nodes_per_dim=DEFAULT_NODES):
     """Quadrature nodes and weights for all level-j cubes of a cover.
 
-    With doubled=True the rule covers the doubled cubes 2Q instead.
     Returns (points (d, N), weights (N,)); empty arrays for empty levels.
     """
     ks = cover.levels[j]
-    d = ks.shape[1] if ks.ndim == 2 else len(cover.box[0])
-    if not len(ks):
-        return np.zeros((d, 0)), np.zeros(0)
+    d = ks.shape[1]
     unit, wts = _tensor_rule(d, nodes_per_dim)
     side = 2.0 ** -j
-    if doubled:
-        low, width = (ks - 0.5) * side, 2.0 * side
-    else:
-        low, width = ks * side, side
-    pts = low.T[:, :, None] + width * unit[:, None, :]          # (d, N, n^d)
-    w = np.broadcast_to(wts * width ** d, (len(ks), len(wts)))
-    return pts.reshape(d, -1), w.reshape(-1)
+    pts = (ks * side).T[:, :, None] + side * unit[:, None, :]   # (d, N, n^d)
+    return pts.reshape(d, -1), np.tile(wts * side ** d, len(ks))
+
+
+def _ladder(per_level):
+    """(2^-k, sum_{j <= k} per_level[j]), k >= TRUNCATION_K_MIN or finest."""
+    levels = sorted(per_level)
+    ladder, running = [], 0.0
+    for j in levels:
+        running += per_level[j]
+        if j >= TRUNCATION_K_MIN or j == levels[-1]:
+            ladder.append((2.0 ** -j, running))
+    return ladder
 
 
 def integral_ladder(cover, integrand, nodes_per_dim=DEFAULT_NODES):
     """Truncated integrals sum_{j <= k} int_{level-j cubes} integrand dx.
 
     Returns a list of (eps_k, partial integral) with eps_k = 2^-k running
-    from 2^-TRUNCATION_K_MIN down to 2^-j_max, plus the per-level totals.
+    from 2^-TRUNCATION_K_MIN down to 2^-j_max.  One integrand call per
+    slice of at most SLICE_NODES nodes gathered across levels in order;
+    each level's total is one np.sum over its own nodes.
     """
-    per_level = {}
-    for j in sorted(cover.levels):
-        pts, wts = level_nodes(cover, j, nodes_per_dim)
-        per_level[j] = float(np.sum(integrand(pts) * wts)) if wts.size else 0.0
-    j_max = max(per_level)
-    ladder, running = [], 0.0
-    for j in sorted(per_level):
-        running += per_level[j]
-        if j >= TRUNCATION_K_MIN:
-            ladder.append((2.0 ** -j, running))
-    if not ladder:
-        ladder.append((2.0 ** -j_max, running))
-    return ladder, per_level
+    levels = sorted(cover.levels)
+    nodes = [level_nodes(cover, j, nodes_per_dim) for j in levels]
+    pts = np.concatenate([x for x, _ in nodes], axis=1)
+    vals = np.concatenate([w for _, w in nodes])
+    for s in range(0, vals.size, SLICE_NODES):
+        vals[s:s + SLICE_NODES] *= integrand(pts[:, s:s + SLICE_NODES])
+    ends = np.cumsum([w.size for _, w in nodes])[:-1]
+    return _ladder({j: float(np.sum(share)) for j, share
+                    in zip(levels, np.split(vals, ends), strict=True)})
 
 
 def classify_truncations(truncations, oracle_member=None):
@@ -147,7 +149,7 @@ def classify_truncations(truncations, oracle_member=None):
     return INCONCLUSIVE
 
 
-def _norm_value_from_powersum(ladder, root_exp, nodes_per_dim, oracle_member=None):
+def _norm_value(ladder, root_exp, nodes_per_dim, oracle_member=None):
     truncs = [(e, v ** (1.0 / root_exp)) for e, v in ladder]
     return NormValue(value=truncs[-1][1], truncations=truncs,
                      classification=classify_truncations(truncs, oracle_member),
@@ -174,8 +176,8 @@ def weighted_lp_norm(u, w, p, cover, nodes_per_dim=DEFAULT_NODES,
         rho = _rho_values(x, domain)
         return np.abs(rho ** w * u(x)) ** p
 
-    ladder, _ = integral_ladder(cover, integrand, nodes_per_dim)
-    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
+    ladder = integral_ladder(cover, integrand, nodes_per_dim)
+    return _norm_value(ladder, p, nodes_per_dim, oracle_member)
 
 
 def _derivative_power_sum(u, orders, weights_fn, p, cover, nodes_per_dim):
@@ -203,10 +205,10 @@ def kondratiev_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
     if m > MAX_ORDER:
         raise Unsupported(f"derivative order capped at {MAX_ORDER}")
     orders = [al for al in multi_indices(params.d, m)]
-    ladder, _ = _derivative_power_sum(
+    ladder = _derivative_power_sum(
         u, orders, lambda rho, al: rho ** ((sum(al) - a) * p), p,
         cover, nodes_per_dim)
-    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
+    return _norm_value(ladder, p, nodes_per_dim, oracle_member)
 
 
 def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES,
@@ -219,9 +221,9 @@ def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES,
         raise Unsupported(f"derivative order capped at {MAX_ORDER}")
     d = len(cover.box[0])
     orders = [al for al in multi_indices(d, m)]
-    ladder, _ = _derivative_power_sum(
+    ladder = _derivative_power_sum(
         u, orders, lambda rho, al: 1.0, p, cover, nodes_per_dim)
-    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
+    return _norm_value(ladder, p, nodes_per_dim, oracle_member)
 
 
 def _piece_power_sum(u, pou, j, ks, m, weight, p, nodes_per_dim):
@@ -230,14 +232,14 @@ def _piece_power_sum(u, pou, j, ks, m, weight, p, nodes_per_dim):
 
     Each piece is integrated on its doubled cube with a tensor rule; phi is
     bump/psi, well defined on the open doubled cube (psi >= own bump > 0).
-    The nodes of all cubes are evaluated together, PIECE_SLICE_NODES at a
+    The nodes of all cubes are evaluated together, SLICE_NODES at a
     time, with per-point cube keys for the bumps.
     """
     d = pou.d
     unit, wts = _tensor_rule(d, nodes_per_dim)
     n = wts.size
     side = 2.0 ** -j
-    per_slice = max(1, PIECE_SLICE_NODES // n)
+    per_slice = max(1, SLICE_NODES // n)
     total = 0.0
     for start in range(0, len(ks), per_slice):
         kk = ks[start:start + per_slice]
@@ -281,14 +283,10 @@ def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
     per_level = {j: _piece_power_sum(u, pou, j, ks, m, lambda rho, al: 1.0,
                                      tau, nodes_per_dim)
                  for j, ks in cover.levels.items()}
-    levels = sorted(per_level)
-    ladder, running = [], 0.0
-    for j in levels:
-        running += per_level[j]
-        if j >= TRUNCATION_K_MIN or j == levels[-1]:
-            ladder.append((2.0 ** -j, running))
-    out = _norm_value_from_powersum(ladder, tau, nodes_per_dim, oracle_member)
-    tail = sum(per_level[j] for j in levels[-3:])
+    ladder = _ladder(per_level)
+    running = ladder[-1][1]
+    out = _norm_value(ladder, tau, nodes_per_dim, oracle_member)
+    tail = sum(per_level[j] for j in sorted(per_level)[-3:])
     if running > 0 and tail / running > TAIL_SHARE_LIMIT \
             and out.classification == FINITE:
         out.classification = INCONCLUSIVE
@@ -307,9 +305,7 @@ def rloc_norm_weighted(u, params, cover, nodes_per_dim=DEFAULT_NODES,
                                 oracle_member)
     truncs = [(e, v1 + v2) for (e, v1), (_, v2)
               in zip(smooth.truncations, weighted.truncations, strict=True)]
-    cls = classify_truncations(truncs, oracle_member)
-    return NormValue(value=truncs[-1][1], truncations=truncs,
-                     classification=cls, quadrature_order=nodes_per_dim)
+    return _norm_value(truncs, 1.0, nodes_per_dim, oracle_member)
 
 
 def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
@@ -324,15 +320,13 @@ def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
         raise InvalidParams("p must lie in (1, inf)")
     v = multiply_by_rho_power(u, m - a)
     top = [al for al in multi_indices(params.d, m) if sum(al) == m]
-    ladder, _ = _derivative_power_sum(
+    ladder = _derivative_power_sum(
         v, top, lambda rho, al: 1.0, p, cover, nodes_per_dim)
     top_truncs = [(e, val ** (1.0 / p)) for e, val in ladder]
     low = weighted_lp_norm(u, -a, p, cover, nodes_per_dim)
     truncs = [(e, v1 + v2) for (e, v1), (_, v2)
               in zip(top_truncs, low.truncations, strict=True)]
-    cls = classify_truncations(truncs, oracle_member)
-    return NormValue(value=truncs[-1][1], truncations=truncs,
-                     classification=cls, quadrature_order=nodes_per_dim)
+    return _norm_value(truncs, 1.0, nodes_per_dim, oracle_member)
 
 
 def multiply_by_rho_power(u, gamma):
@@ -352,7 +346,11 @@ def classify_radial_integral(e, g):
 
 
 def radial_reference_integral(e, g, R=1.0, eps=0.0):
-    """High-accuracy 1D reference: int_eps^R t^e (1 + |log t|)^g dt."""
+    """High-accuracy 1D reference: int_eps^R t^e (1 + |log t|)^g dt.
+
+    Accurate to about 1e-14 relative for R/eps <= 2^20; beyond, one quad
+    misses mass near eps (at R = 1, eps = 2^-24: 2.4e-4 for e = -1/2, 23 %
+    for e = -0.9), so sum shells over longer ranges."""
     if eps <= 0.0 and classify_radial_integral(e, g) == DIVERGENT:
         raise InvalidParams("integral diverges at 0; pass eps > 0")
 

@@ -549,17 +549,19 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
     notes["kondratievMember"] = member
     cauchy = False
     if member:
-        kv = []
+        # one quad per shell [2^-k, 2^-(k-4)] (the first ends at R): one quad
+        # from 2^-k to R is inaccurate beyond 2^20 (radial_reference_integral)
+        rungs, power, top = [], 0.0, R
         for k in range(4, 200, 4):
-            v = radial_reference_integral(ek, gk, R, 2.0 ** -k) ** (1.0 / p)
-            kv.append(v)
-            if len(kv) >= 4:
-                rel = [(kv[i] - kv[i - 1]) / kv[i] for i in
-                       range(len(kv) - 3, len(kv))]
-                if all(r < norms.CAUCHY_REL_TOL for r in rel):
-                    cauchy = True
-                    notes["kondratievCauchyEps"] = 2.0 ** -k
-                    break
+            power += radial_reference_integral(ek, gk, top, 2.0 ** -k)
+            top = 2.0 ** -k
+            rungs.append([top, power])
+            truncs = [(e, v ** (1.0 / p)) for e, v in rungs]
+            if norms.classify_truncations(truncs) == FINITE:
+                cauchy = True
+                notes["kondratievCauchyEps"] = top
+                break
+        notes["kondratievLadder"] = rungs
     passed = (abs(fitted - predicted) <= 0.05 and residual < 0.10
               and cauchy)
     return DivergenceReport(ladder=ladder, fitted_exponent=fitted,

@@ -86,6 +86,53 @@ def test_kondratiev_norm_monotone_in_truncation(dom, cover):
     assert all(vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1))
 
 
+def _per_level_ladder(cover, integrand, nodes):
+    """The ladder summed one level at a time, one integrand call each."""
+    ladder, running = [], 0.0
+    for j in sorted(cover.levels):
+        pts, wts = norms.level_nodes(cover, j, nodes)
+        running += float(np.sum(integrand(pts) * wts)) if wts.size else 0.0
+        if j >= norms.TRUNCATION_K_MIN:
+            ladder.append((2.0 ** -j, running))
+    return ladder
+
+
+def test_integral_ladder_equals_per_level_sums(monkeypatch):
+    # levels 0 and 1 are empty, the others hold 32 to 512 cubes of 16
+    # nodes; 48-node slices split every level and straddle the boundaries
+    cov = whitney_cover(ModelDomain(2, 1), ((-1, -1), (1, 1)), 6)
+    assert not len(cov.levels[0])
+    u = make_test_function(1.2, -0.7, 1.0, cov.domain)
+    sizes = []
+
+    def integrand(x):
+        sizes.append(x.shape[1])
+        jet = u.jet(x, order=1)
+        rho = norms._rho_values(x, cov.domain)
+        return sum(rho ** (2 * sum(al) - 1) * jet.derivative(al) ** 2
+                   for al in multi_indices(2, 1))
+
+    want = _per_level_ladder(cov, integrand, 4)
+    sizes.clear()
+    monkeypatch.setattr(norms, "SLICE_NODES", 3 * 16)
+    got = norms.integral_ladder(cov, integrand, 4)
+    assert got == want
+    total = 16 * sum(len(ks) for ks in cov.levels.values())
+    assert sizes[:-1] == [48] * (total // 48) and sum(sizes) == total
+
+
+def test_integral_ladder_split_levels_match_whole(dom, cover, monkeypatch):
+    # 3,072 nodes per level; 1,000-node slices split each level
+    u = make_test_function(1.2, 0.0, 1.0, dom)
+    params = SpaceParams(m=2, a=0.5, p=2.0, d=2, ell=0)
+    whole = kondratiev_norm(u, params, cover).truncations
+    monkeypatch.setattr(norms, "SLICE_NODES", 1000)
+    split = kondratiev_norm(u, params, cover).truncations
+    assert [e for e, _ in split] == [e for e, _ in whole]
+    assert [v for _, v in split] == pytest.approx([v for _, v in whole],
+                                                  rel=1e-15)
+
+
 def test_sobolev_norm_of_smooth_bump(dom, cover):
     # the plateau cutoff is smooth: W^1_2 norm is finite and stable
     u = make_test_function(0.0, 0.0, 1.0, dom)
@@ -169,7 +216,7 @@ def test_piece_power_slices_match_unsliced(monkeypatch):
     whole = [kondratiev_piece_power(u, pou, j, ks, 2, 0.5, 2.0)
              for j, ks in levels]
     # three 64-node cubes per slice, so every level takes several slices
-    monkeypatch.setattr(norms, "PIECE_SLICE_NODES", 3 * 64)
+    monkeypatch.setattr(norms, "SLICE_NODES", 3 * 64)
     sliced = [kondratiev_piece_power(u, pou, j, ks, 2, 0.5, 2.0)
               for j, ks in levels]
     assert sliced == pytest.approx(whole, rel=1e-12)

@@ -110,6 +110,37 @@ def test_divergence_critical_line_with_singular_dimension(d, delta):
     assert r.fitted_exponent == pytest.approx(1.0 + lam * tau, abs=1e-4)
 
 
+def test_divergence_kondratiev_ladder_matches_closed_form():
+    # Kondratiev side int_eps^1 t^{-1/2} dt = 2(1 - sqrt(eps)), down to
+    # eps = 2^-32; a single quad from eps misses it by 2.4e-4 at 2^-24
+    r = check_counterexample_divergence(1, -0.25, 2.0, 1.0, 2, 0, 0.0)
+    rungs = r.notes["kondratievLadder"]
+    assert r.kondratiev_cauchy and len(rungs) >= 8
+    assert [e for e, _ in rungs] == [2.0 ** -k for k in
+                                     range(4, 4 * len(rungs) + 1, 4)]
+    for eps, power in rungs:
+        assert power == pytest.approx(2 * (1 - np.sqrt(eps)), rel=1e-12)
+
+
+def test_divergence_cauchy_loop_integrates_one_shell_per_call(monkeypatch):
+    import klab.verify as verify
+    calls = []
+    original = verify.radial_reference_integral
+
+    def spy(e, g, R=1.0, eps=0.0):
+        calls.append((g, R, eps))
+        return original(e, g, R, eps)
+
+    monkeypatch.setattr(verify, "radial_reference_integral", spy)
+    r = check_counterexample_divergence(1, 0.0, 2.0, 1.0, 2, 0, -0.7)
+    # the fitted ladder integrates t^e (1+|log t|)^(lam tau), the Cauchy
+    # loop the same power with log power lam p
+    shells = [(R, eps) for g, R, eps in calls if g != r.notes["logPower"]]
+    assert len(shells) == len(r.notes["kondratievLadder"]) > 30
+    assert shells[0] == (1.0, 2.0 ** -4)
+    assert all(R == 16 * eps for R, eps in shells[1:])
+
+
 def test_divergence_not_a_counterexample_flag():
     # lam tau < -1: the weighted power converges; flagged, not passed
     r = check_counterexample_divergence(1, 0.0, 2.0, 1.0, 2, 0, -1.5)
