@@ -117,19 +117,21 @@ def integral_ladder(cover, integrand, nodes_per_dim=DEFAULT_NODES):
     """Truncated integrals sum_{j <= k} int_{level-j cubes} integrand dx.
 
     Returns a list of (eps_k, partial integral) with eps_k = 2^-k running
-    from 2^-TRUNCATION_K_MIN down to 2^-j_max.  One integrand call per
-    slice of at most SLICE_NODES nodes gathered across levels in order;
-    each level's total is one np.sum over its own nodes.
+    from 2^-TRUNCATION_K_MIN down to 2^-j_max.  The cover's nodes are held
+    once, filled level by level; one integrand call per slice of at most
+    SLICE_NODES of them, and each level's total is one np.sum over its own.
     """
     levels = sorted(cover.levels)
-    nodes = [level_nodes(cover, j, nodes_per_dim) for j in levels]
-    pts = np.concatenate([x for x, _ in nodes], axis=1)
-    vals = np.concatenate([w for _, w in nodes])
+    d = len(cover.box[0])
+    ends = np.cumsum([len(cover.levels[j]) * nodes_per_dim ** d
+                      for j in levels])
+    bounds = list(zip(levels, np.r_[0, ends[:-1]], ends))
+    pts, vals = np.empty((d, ends[-1])), np.empty(ends[-1])
+    for j, lo, hi in bounds:
+        pts[:, lo:hi], vals[lo:hi] = level_nodes(cover, j, nodes_per_dim)
     for s in range(0, vals.size, SLICE_NODES):
         vals[s:s + SLICE_NODES] *= integrand(pts[:, s:s + SLICE_NODES])
-    ends = np.cumsum([w.size for _, w in nodes])[:-1]
-    return _ladder({j: float(np.sum(share)) for j, share
-                    in zip(levels, np.split(vals, ends), strict=True)})
+    return _ladder({j: float(np.sum(vals[lo:hi])) for j, lo, hi in bounds})
 
 
 def classify_truncations(truncations, oracle_member=None):
@@ -149,7 +151,7 @@ def classify_truncations(truncations, oracle_member=None):
     return INCONCLUSIVE
 
 
-def _norm_value(ladder, root_exp, nodes_per_dim, oracle_member=None):
+def _norm_value_from_powersum(ladder, root_exp, nodes_per_dim, oracle_member=None):
     truncs = [(e, v ** (1.0 / root_exp)) for e, v in ladder]
     return NormValue(value=truncs[-1][1], truncations=truncs,
                      classification=classify_truncations(truncs, oracle_member),
@@ -177,7 +179,7 @@ def weighted_lp_norm(u, w, p, cover, nodes_per_dim=DEFAULT_NODES,
         return np.abs(rho ** w * u(x)) ** p
 
     ladder = integral_ladder(cover, integrand, nodes_per_dim)
-    return _norm_value(ladder, p, nodes_per_dim, oracle_member)
+    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
 
 
 def _derivative_power_sum(u, orders, weights_fn, p, cover, nodes_per_dim):
@@ -208,7 +210,7 @@ def kondratiev_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
     ladder = _derivative_power_sum(
         u, orders, lambda rho, al: rho ** ((sum(al) - a) * p), p,
         cover, nodes_per_dim)
-    return _norm_value(ladder, p, nodes_per_dim, oracle_member)
+    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
 
 
 def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES,
@@ -223,7 +225,7 @@ def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES,
     orders = [al for al in multi_indices(d, m)]
     ladder = _derivative_power_sum(
         u, orders, lambda rho, al: 1.0, p, cover, nodes_per_dim)
-    return _norm_value(ladder, p, nodes_per_dim, oracle_member)
+    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
 
 
 def _piece_power_sum(u, pou, j, ks, m, weight, p, nodes_per_dim):
@@ -285,7 +287,7 @@ def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
                  for j, ks in cover.levels.items()}
     ladder = _ladder(per_level)
     running = ladder[-1][1]
-    out = _norm_value(ladder, tau, nodes_per_dim, oracle_member)
+    out = _norm_value_from_powersum(ladder, tau, nodes_per_dim, oracle_member)
     tail = sum(per_level[j] for j in sorted(per_level)[-3:])
     if running > 0 and tail / running > TAIL_SHARE_LIMIT \
             and out.classification == FINITE:
@@ -305,7 +307,9 @@ def rloc_norm_weighted(u, params, cover, nodes_per_dim=DEFAULT_NODES,
                                 oracle_member)
     truncs = [(e, v1 + v2) for (e, v1), (_, v2)
               in zip(smooth.truncations, weighted.truncations, strict=True)]
-    return _norm_value(truncs, 1.0, nodes_per_dim, oracle_member)
+    cls = classify_truncations(truncs, oracle_member)
+    return NormValue(value=truncs[-1][1], truncations=truncs,
+                     classification=cls, quadrature_order=nodes_per_dim)
 
 
 def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
@@ -326,7 +330,9 @@ def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
     low = weighted_lp_norm(u, -a, p, cover, nodes_per_dim)
     truncs = [(e, v1 + v2) for (e, v1), (_, v2)
               in zip(top_truncs, low.truncations, strict=True)]
-    return _norm_value(truncs, 1.0, nodes_per_dim, oracle_member)
+    cls = classify_truncations(truncs, oracle_member)
+    return NormValue(value=truncs[-1][1], truncations=truncs,
+                     classification=cls, quadrature_order=nodes_per_dim)
 
 
 def multiply_by_rho_power(u, gamma):

@@ -549,8 +549,7 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
     notes["kondratievMember"] = member
     cauchy = False
     if member:
-        # one quad per shell [2^-k, 2^-(k-4)] (the first ends at R): one quad
-        # from 2^-k to R is inaccurate beyond 2^20 (radial_reference_integral)
+        # one quad per shell: see radial_reference_integral's accurate range
         rungs, power, top = [], 0.0, R
         for k in range(4, 200, 4):
             power += radial_reference_integral(ek, gk, top, 2.0 ** -k)

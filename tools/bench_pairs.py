@@ -1,16 +1,17 @@
 """Compare a parent commit with the working tree on one benchmark workload.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload norm-ladders \
-        --seeds 1-10 --seconds 30
+        --seeds 1-10
 
 Run it from the root of a klab checkout.  The parent is checked out into a
 temporary git worktree, removed again at the end.  For every seed the two
-sides run perfbench/run.py one after the other, with the side that runs
-first swapped from one pair to the next, so drift in the host's speed falls
-on both.  For each end-to-end metric of BENCHMARK.json the tool prints the
-median and quartiles on each side, how many pairs the change won (ties
-count for neither side), and the parent's interquartile range; then the
-failed and attempted operation counts of each side.  Standard library only.
+sides run perfbench/run.py for the run_seconds of BENCHMARK.json one after
+the other, with the side that runs first swapped from one pair to the next,
+so drift in the host's speed falls on both.  For each end-to-end metric of
+BENCHMARK.json the tool prints the median and quartiles on each side, how
+many pairs the change won (ties count for neither side), and the parent's
+interquartile range; then the failed and attempted operation counts of
+each side.  Standard library only.
 """
 
 import argparse
@@ -39,7 +40,6 @@ def parse_args(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="seed list, e.g. 1-10 or 3,5,8")
-    parser.add_argument("--seconds", type=float, default=30.0)
     return parser.parse_args(argv)
 
 
@@ -88,7 +88,7 @@ def summarize(metrics, results):
 
 def main(argv=None):
     args = parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
@@ -102,7 +102,7 @@ def main(argv=None):
                     else ("change", "parent")
                 for side in order:
                     results[side].append(run_side(roots[side], args.workload,
-                                                  seed, args.seconds))
+                                                  seed, bench["run_seconds"]))
                 row = "  ".join(
                     f"{side} run_s {results[side][-1]['metrics']['run_s']['value']:.4f}"
                     for side in order)
@@ -110,7 +110,7 @@ def main(argv=None):
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
                             str(tree)], cwd=ROOT, check=False)
-    summarize(metrics, results)
+    summarize(bench["end_to_end"], results)
     return 0
 
 
