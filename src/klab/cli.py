@@ -4,7 +4,8 @@ Exit codes: 0 success / check passed / Holds, 1 failed check / Fails,
 2 invalid input, 3 an UndeterminedByPaper verdict.  Every experiment writes
 and re-reads its results through one report protocol (klab.verify).
 Every JSON output embeds the resolved run configuration (cover constants,
-quadrature order, thread cap) under schema "klab-report/1".
+quadrature order, thread cap, Python/numpy/scipy versions) under schema
+"klab-report/1".
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def _thread_cap():
     return None
 
 
+def _versions():
+    """Python, numpy and scipy versions; scipy's comes from its installed
+    metadata, so reporting it does not import scipy."""
+    import platform
+    from importlib import metadata
+    import numpy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": metadata.version("scipy")}
+
+
 def _run_config(args, extra=None):
     from . import geometry, norms
     cfg = {"command": args.command,
@@ -47,7 +58,8 @@ def _run_config(args, extra=None):
                               "c0Level0": geometry.C0_LEVEL0},
            "quadratureNodesPerDim": getattr(args, "nodes",
                                             norms.DEFAULT_NODES),
-           "threads": _thread_cap()}
+           "threads": _thread_cap(),
+           "versions": _versions()}
     for key in ("m", "a", "p", "tau", "d", "delta", "ell", "beta", "lam",
                 "R", "j_max", "J", "out"):
         if hasattr(args, key) and getattr(args, key) is not None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParams, Unsupported
 from .jets import multi_indices
@@ -363,6 +362,7 @@ def radial_reference_integral(e, g, R=1.0, eps=0.0):
     def f(t):
         return t ** e * (1.0 + np.abs(np.log(t))) ** g
 
+    from scipy.integrate import quad
     lo = max(eps, 0.0)
     val, _ = quad(f, lo, R, limit=200, points=[min(1.0, R)] if R > 1 else None)
     return val

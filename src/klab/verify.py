@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import EmptyFamily, InvalidParams
 from .geometry import (ModelDomain, PartitionOfUnity, whitney_cover)
@@ -491,6 +490,7 @@ def check_embedding_ratio(params, family, cover=None, J=10,
 
 def _fit_growth(xs, ys, predicted):
     """Fit y = A + B x^c and report (c, max relative residual)."""
+    from scipy.optimize import curve_fit
 
     def model(x, A, B, c):
         return A + B * x ** c

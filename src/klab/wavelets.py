@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParams, Unsupported
 from .norms import NormValue, FINITE, INCONCLUSIVE, TAIL_SHARE_LIMIT
@@ -217,20 +217,28 @@ class CoefficientGrid:
 def _analyze_axis(arr, origin, filt, axis):
     """Decimated correlation a_k = sum_m filt_m A_{m+2k} along one axis.
 
-    `origin` is the integer index of the first entry along that axis.
+    `origin` is the integer index of the first entry along that axis; A is
+    zero outside the array.  Only the kept (every second) outputs are
+    computed: with A padded by F - 1 zeros on both sides,
+    a = sum_m filt_m A_padded[t0+m :: 2], F terms and no full convolution.
     Returns (output array, output origin).
     """
     F = len(filt)
-    shape = [1] * arr.ndim
-    shape[axis] = F
-    kernel = filt[::-1].reshape(shape)
-    full = fftconvolve(arr, kernel, mode="full")
     L = arr.shape[axis]
     k0 = -(-(origin - F + 1) // 2)               # ceil division
-    t0 = 2 * k0 - origin + F - 1
+    t0 = 2 * k0 - origin + F - 1                 # 0 or 1
+    n = (L + F - t0) // 2                        # outputs k0 .. k0 + n - 1
+    widths = [(0, 0)] * arr.ndim
+    widths[axis] = (F - 1, F - 1)
+    padded = np.pad(arr, widths)
+    shape = list(arr.shape)
+    shape[axis] = n
+    out = np.zeros(shape)
     sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(t0, L + F - 1, 2)
-    return full[tuple(sl)], k0
+    for m in range(F):
+        sl[axis] = slice(t0 + m, t0 + m + 2 * n - 1, 2)
+        out += filt[m] * padded[tuple(sl)]
+    return out, k0
 
 
 def wavelet_coefficients(u, system, J, box, d=None, projection="sample"):
@@ -273,10 +281,9 @@ def wavelet_coefficients(u, system, J, box, d=None, projection="sample"):
         n1 = (k_hi[0] - 1 + F - 1) * stride
         xs = np.arange(n0, n1 + 1) * 2.0 ** -(CASCADE_K + J)
         samples = np.asarray(u(xs[None, :]), dtype=float).ravel()
-        corr = fftconvolve(samples, system.phi_table[::-1], mode="valid")
-        data = corr[::stride][:shape[0]] \
+        windows = sliding_window_view(samples, len(system.phi_table))
+        data = windows[::stride][:shape[0]] @ system.phi_table \
             * 2.0 ** -CASCADE_K * 2.0 ** (-J / 2.0)
-        data = data.reshape(shape)
     else:
         raise InvalidParams("projection must be 'sample' or 'table'")
 

@@ -2,7 +2,12 @@
 
 import csv
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
+from importlib import metadata
 from pathlib import Path
 
 from klab import verify
@@ -27,6 +32,33 @@ def test_decide_holds(capsys):
     doc = json.loads("\n".join(out.splitlines()[1:]))
     assert doc["schema"] == "klab-report/1"
     assert doc["params"]["coverConstants"]["c1"] == 1.0
+
+
+DECIDE = ["decide", "--m", "2", "--a", "2", "--p", "2", "--tau", "2",
+          "--d", "2", "--delta", "0"]
+
+
+def test_report_names_versions(capsys):
+    code, out = run(capsys, *DECIDE)
+    doc = json.loads("\n".join(out.splitlines()[1:]))
+    assert doc["params"]["versions"] == {
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy")}
+
+
+def test_decide_loads_no_scipy():
+    src = Path(verify.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = ("import sys\nfrom klab.cli import main\n"
+              f"main({DECIDE!r})\n"
+              "print(sorted(k for k in sys.modules "
+              "if k.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[0] == "Holds"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_decide_fails_exit_code(capsys):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from klab import wavelets
 from klab.errors import InvalidParams, Unsupported
-from klab.wavelets import (REGULARITY, build_wavelet_system,
+from klab.wavelets import (CASCADE_K, REGULARITY, build_wavelet_system,
                            daubechies_filter, estimate_holder_regularity,
                            f_sequence_norm, filter_orthonormality_defect,
                            synthesize, wavelet_coefficients)
@@ -202,3 +203,60 @@ def test_2d_parseval_small():
     from scipy.integrate import quad
     one_d, _ = quad(lambda t: math.exp(-4.0 * t * t), -2, 2)
     assert grid.sum_of_squares() == pytest.approx(one_d ** 2, rel=1e-3)
+
+
+def decimated_correlation_reference(arr, origin, filt, axis):
+    """a_k = sum_m filt_m A_{m+2k} from its definition: a full convolution
+    with the reversed filter along the axis, then the outputs whose global
+    index m + 2k - (F - 1) is even-aligned, i.e. every second one."""
+    F = len(filt)
+    full = np.apply_along_axis(
+        lambda v: np.convolve(v, filt[::-1], mode="full"), axis, arr)
+    # full[t] = sum_m filt_m A[t - F + 1 + m]: the output k with
+    # origin + t - F + 1 = 2k
+    ts = [t for t in range(full.shape[axis]) if (origin + t - F + 1) % 2 == 0]
+    return np.take(full, ts, axis=axis), (origin + ts[0] - F + 1) // 2
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("shape", [(1,), (3,), (17,), (2, 9), (12, 5),
+                                   (3, 1, 8), (5, 7, 4)])
+def test_analyze_axis_matches_full_convolution(order, shape):
+    system = build_wavelet_system(order)
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    arr = rng.standard_normal(shape)             # most shorter than F
+    for filt in (system.filter, system.gfilter):
+        for axis in range(len(shape)):
+            for origin in (-7, -4, -1, 0, 3, 6):
+                got, k0 = wavelets._analyze_axis(arr, origin, filt, axis)
+                want, w0 = decimated_correlation_reference(arr, origin, filt,
+                                                           axis)
+                assert k0 == w0
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-14 * np.max(np.abs(want))
+
+
+def test_table_projection_is_per_k_dot_product(sys1, monkeypatch):
+    # level-J scaling coefficients: c_k = 2^{-J/2} 2^{-K} sum_i
+    # u(2^{-J}(t_i + k)) phi(t_i), t_i = i 2^{-K}, one dot product per k
+    def u(x):
+        return np.exp(-3.0 * x[0] ** 2) * (1.0 + x[0])
+
+    seen = []
+    analyze = wavelets._analyze_axis
+
+    def first_input(arr, origin, filt, axis):
+        if not seen:
+            seen.append((arr.copy(), origin))
+        return analyze(arr, origin, filt, axis)
+
+    monkeypatch.setattr(wavelets, "_analyze_axis", first_input)
+    J = 3
+    wavelet_coefficients(u, sys1, J, ((-1.0,), (1.0,)), projection="table")
+    data, k_lo = seen[0]
+    t = np.arange(len(sys1.phi_table)) * 2.0 ** -CASCADE_K
+    want = [2.0 ** (-J / 2) * 2.0 ** -CASCADE_K
+            * np.dot(u(((t + k) * 2.0 ** -J)[None, :]), sys1.phi_table)
+            for k in range(k_lo, k_lo + len(data))]
+    assert np.max(np.abs(data - want)) <= 1e-14 * np.max(np.abs(want))

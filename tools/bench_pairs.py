@@ -3,15 +3,16 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload norm-ladders \
         --seeds 1-10
 
-Run it from the root of a klab checkout.  The parent is checked out into a
-temporary git worktree, removed again at the end.  For every seed the two
-sides run perfbench/run.py for the run_seconds of BENCHMARK.json one after
-the other, with the side that runs first swapped from one pair to the next,
-so drift in the host's speed falls on both.  For each end-to-end metric of
-BENCHMARK.json the tool prints the median and quartiles on each side, how
-many pairs the change won (ties count for neither side), and the parent's
-interquartile range; then the failed and attempted operation counts of
-each side.  Standard library only.
+Run it from the root of a klab checkout.  The parent's committed files are
+extracted with git archive into a temporary directory, removed again at the
+end.  For every seed the two sides run perfbench/run.py for the run_seconds
+of BENCHMARK.json one after the other, with the side that runs first
+swapped from one pair to the next, so drift in the host's speed falls on
+both.  For each end-to-end metric of BENCHMARK.json the tool prints the
+median and quartiles on each side, how many pairs the change won (ties
+count for neither side), and the parent's interquartile range; then the
+failed and attempted operation counts of each side.  Standard library
+only.
 """
 
 import argparse
@@ -92,24 +93,22 @@ def main(argv=None):
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree),
-                        args.parent], cwd=ROOT, check=True,
-                       capture_output=True)
-        try:
-            roots = {"parent": tree, "change": ROOT}
-            for i, seed in enumerate(args.seeds):
-                order = ("parent", "change") if i % 2 == 0 \
-                    else ("change", "parent")
-                for side in order:
-                    results[side].append(run_side(roots[side], args.workload,
-                                                  seed, bench["run_seconds"]))
-                row = "  ".join(
-                    f"{side} run_s {results[side][-1]['metrics']['run_s']['value']:.4f}"
-                    for side in order)
-                print(f"seed {seed}: {row}", flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(tree)], cwd=ROOT, check=False)
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive,
+                       check=True)
+        roots = {"parent": tree, "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 \
+                else ("change", "parent")
+            for side in order:
+                results[side].append(run_side(roots[side], args.workload,
+                                              seed, bench["run_seconds"]))
+            row = "  ".join(
+                f"{side} run_s {results[side][-1]['metrics']['run_s']['value']:.4f}"
+                for side in order)
+            print(f"seed {seed}: {row}", flush=True)
     summarize(bench["end_to_end"], results)
     return 0
 
