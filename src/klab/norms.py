@@ -4,8 +4,10 @@ All integrals are computed by per-cube tensor Gauss-Legendre rules over a
 Whitney cover; the cover itself grades the nodes toward the singular set
 (cubes of level j have side 2^-j).  Truncated integrals over {dist > eps}
 are realized by summing levels j with 2^-j >= eps, which yields monotone
-truncation ladders for nonnegative integrands; a ladder makes one
-integrand call per slice of levels (`integral_ladder`).
+truncation ladders for nonnegative integrands.  A ladder makes one
+integrand call per slice of levels (`integral_ladder`); an integrand of r
+rows yields r ladders, so `cover_norms` takes several norms, each a list
+of terms, from one pass: per slice, one jet per function and one rho.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParams, Unsupported
+from .geometry import regularized_distance
 from .jets import multi_indices
 from .profiles import MAX_ORDER
 from .testfns import TestFunction, classify_radial_exponent
@@ -33,8 +36,8 @@ SLICE_NODES = 2 ** 15      # nodes per integrand call of ladders and pieces
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Parameter bundle (m, a, p, tau, q=2) over a d-dimensional domain with
-    an ell-dimensional singular set."""
+    """Parameter bundle (m, a, p, tau; q = 2 throughout) over a d-dimensional
+    domain with an ell-dimensional singular set."""
 
     m: int
     a: float
@@ -42,13 +45,6 @@ class SpaceParams:
     d: int
     ell: int
     tau: float = None
-    q: int = 2
-
-    @property
-    def sigma(self):
-        """sigma_{tau,2} = d (1/min(1, tau) - 1)."""
-        t = self.p if self.tau is None else self.tau
-        return self.d * (1.0 / min(1.0, t) - 1.0)
 
 
 @dataclass
@@ -119,18 +115,25 @@ def integral_ladder(cover, integrand, nodes_per_dim=DEFAULT_NODES):
     from 2^-TRUNCATION_K_MIN down to 2^-j_max.  The cover's nodes are held
     once, filled level by level; one integrand call per slice of at most
     SLICE_NODES of them, and each level's total is one np.sum over its own.
+    An integrand of r rows, shape (r, N), gives a list of r such ladders.
     """
     levels = sorted(cover.levels)
     d = len(cover.box[0])
     ends = np.cumsum([len(cover.levels[j]) * nodes_per_dim ** d
                       for j in levels])
     bounds = list(zip(levels, np.r_[0, ends[:-1]], ends))
-    pts, vals = np.empty((d, ends[-1])), np.empty(ends[-1])
+    pts, wts = np.empty((d, ends[-1])), np.empty(ends[-1])
     for j, lo, hi in bounds:
-        pts[:, lo:hi], vals[lo:hi] = level_nodes(cover, j, nodes_per_dim)
-    for s in range(0, vals.size, SLICE_NODES):
-        vals[s:s + SLICE_NODES] *= integrand(pts[:, s:s + SLICE_NODES])
-    return _ladder({j: float(np.sum(vals[lo:hi])) for j, lo, hi in bounds})
+        pts[:, lo:hi], wts[lo:hi] = level_nodes(cover, j, nodes_per_dim)
+    vals = None
+    for s in range(0, wts.size, SLICE_NODES):
+        f = integrand(pts[:, s:s + SLICE_NODES])
+        if vals is None:   # one row is weighted in place
+            vals = wts[None] if f.ndim == 1 else np.empty((len(f), wts.size))
+        vals[:, s:s + SLICE_NODES] = wts[s:s + SLICE_NODES] * f
+    ladders = [_ladder({j: float(np.sum(row[lo:hi])) for j, lo, hi in bounds})
+               for row in vals]
+    return ladders[0] if f.ndim == 1 else ladders
 
 
 def classify_truncations(truncations, oracle_member=None):
@@ -150,86 +153,136 @@ def classify_truncations(truncations, oracle_member=None):
     return INCONCLUSIVE
 
 
-def _norm_value_from_powersum(ladder, root_exp, nodes_per_dim, oracle_member=None):
-    truncs = [(e, v ** (1.0 / root_exp)) for e, v in ladder]
-    return NormValue(value=truncs[-1][1], truncations=truncs,
-                     classification=classify_truncations(truncs, oracle_member),
-                     quadrature_order=nodes_per_dim)
-
-
-def _rho_values(x, domain):
-    from .geometry import regularized_distance
-    return regularized_distance(x, domain)
-
-
 # ---------------------------------------------------------------------------
-# Norms
+# Norms: sums of rooted terms, any number of them from one ladder
 # ---------------------------------------------------------------------------
+
+def _graded(a, p):
+    """The Kondratiev density rho^{(|alpha|-a)p} |d^alpha u|^p."""
+    return lambda rho, al, v: rho ** ((sum(al) - a) * p) * np.abs(v) ** p
+
+
+def _plain(p):
+    return lambda rho, al, v: np.abs(v) ** p
+
+
+def _check_order(m, p):
+    if not 1 < p < np.inf:
+        raise InvalidParams("p must lie in (1, inf)")
+    if m > MAX_ORDER:
+        raise Unsupported(f"derivative order capped at {MAX_ORDER}")
+
+
+def kondratiev_terms(u, params):
+    """The terms of `kondratiev_norm`, for `cover_norms`."""
+    _check_order(params.m, params.p)
+    return [(u, 0, params.m, _graded(params.a, params.p), params.p)]
+
+
+def sobolev_terms(u, m, p):
+    """The terms of `sobolev_norm`, for `cover_norms`."""
+    _check_order(m, p)
+    return [(u, 0, m, _plain(p), p)]
+
+
+def weighted_lp_terms(u, w, p):
+    """The one term of `weighted_lp_norm`: |rho^w u|^p, in that form."""
+    if not p > 0:
+        raise InvalidParams("p must be positive")
+    return [(u, 0, 0, lambda rho, al, v: np.abs(rho ** w * v) ** p, p)]
+
+
+def rloc_weighted_terms(u, params):
+    """The terms of `rloc_norm_weighted`, for `cover_norms`."""
+    tau = params.p if params.tau is None else params.tau
+    if not 1 < tau < np.inf:
+        raise Unsupported("W^m_tau realization requires 1 < tau < inf")
+    return (sobolev_terms(u, params.m, tau)
+            + weighted_lp_terms(u, -params.m, tau))
+
+
+def sharp_terms(u, params):
+    """The terms of `kondratiev_sharp_norm`; rho^{m-a} u stays in the closed
+    test family, so its top-order derivatives are exact."""
+    m, a, p = params.m, params.a, params.p
+    _check_order(m, p)
+    return ([(multiply_by_rho_power(u, m - a), m, m, _plain(p), p)]
+            + weighted_lp_terms(u, -a, p))
+
+
+def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
+    """NormValues of several norms from one integral ladder.
+
+    A norm is a list of terms (u, lo, hi, density, p): the sum over them of
+    (sum_{lo <= |alpha| <= hi} int density(rho, alpha, d^alpha u))^{1/p}.
+    Each u gets one jet per slice, at the highest order its terms need.
+    """
+    terms = [t for norm in norms for t in norm]
+    order = {}
+    for u, _, hi, _, _ in terms:
+        order[u] = max(order.get(u, 0), hi)
+    alphas = multi_indices(len(cover.box[0]), max(order.values()))
+
+    def integrand(x):
+        jets = {u: u.jet(x, order=k) for u, k in order.items()}
+        rho = regularized_distance(x, cover.domain)
+        rows = np.zeros((len(terms), x.shape[1]))
+        for row, (u, lo, hi, density, _) in zip(rows, terms):
+            for al in alphas:
+                if lo <= sum(al) <= hi:
+                    row += density(rho, al, jets[u].derivative(al))
+        return rows
+
+    ladders = iter(integral_ladder(cover, integrand, nodes_per_dim))
+    out = []
+    for norm, oracle in zip(norms, oracles or [None] * len(norms)):
+        rooted = [[(e, v ** (1.0 / t[-1])) for e, v in next(ladders)]
+                  for t in norm]
+        out.append(_norm_value([(col[0][0], sum(v for _, v in col))
+                                for col in zip(*rooted)],
+                               nodes_per_dim, oracle))
+    return out
+
+
+def _norm_value(truncs, nodes_per_dim, oracle_member):
+    return NormValue(truncs[-1][1], truncs,
+                     classify_truncations(truncs, oracle_member), nodes_per_dim)
+
 
 def weighted_lp_norm(u, w, p, cover, nodes_per_dim=DEFAULT_NODES,
                      oracle_member=None):
     """(int_{dist > eps} |rho^w u|^p dx)^{1/p} with full truncation ladder."""
-    if not p > 0:
-        raise InvalidParams("p must be positive")
-    domain = cover.domain
-
-    def integrand(x):
-        rho = _rho_values(x, domain)
-        return np.abs(rho ** w * u(x)) ** p
-
-    ladder = integral_ladder(cover, integrand, nodes_per_dim)
-    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
-
-
-def _derivative_power_sum(u, orders, weights_fn, p, cover, nodes_per_dim):
-    """Ladder of sum over alpha in `orders` of int w_alpha |d^alpha u|^p."""
-    domain = cover.domain
-    max_o = max(sum(a) for a in orders)
-
-    def integrand(x):
-        jet = u.jet(x, order=max_o)
-        rho = _rho_values(x, domain)
-        total = np.zeros(x.shape[1])
-        for alpha in orders:
-            total += weights_fn(rho, alpha) * np.abs(jet.derivative(alpha)) ** p
-        return total
-
-    return integral_ladder(cover, integrand, nodes_per_dim)
+    return cover_norms([weighted_lp_terms(u, w, p)], cover, nodes_per_dim,
+                       [oracle_member])[0]
 
 
 def kondratiev_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
                     oracle_member=None):
     """Weighted-Sobolev norm (sum_{|a|<=m} int |rho^{|a|-a} d^a u|^p)^{1/p}."""
-    m, a, p = params.m, params.a, params.p
-    if not 1 < p < np.inf:
-        raise InvalidParams("p must lie in (1, inf)")
-    if m > MAX_ORDER:
-        raise Unsupported(f"derivative order capped at {MAX_ORDER}")
-    orders = [al for al in multi_indices(params.d, m)]
-    ladder = _derivative_power_sum(
-        u, orders, lambda rho, al: rho ** ((sum(al) - a) * p), p,
-        cover, nodes_per_dim)
-    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
+    return cover_norms([kondratiev_terms(u, params)], cover, nodes_per_dim,
+                       [oracle_member])[0]
 
 
-def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES,
-                 oracle_member=None):
+def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES):
     """W^m_p norm (sum_{|a|<=m} ||d^a u||_p^p)^{1/p}; realizes F^m_{p,2}
     for 1 < p < inf."""
-    if not 1 < p < np.inf:
-        raise InvalidParams("p must lie in (1, inf)")
-    if m > MAX_ORDER:
-        raise Unsupported(f"derivative order capped at {MAX_ORDER}")
-    d = len(cover.box[0])
-    orders = [al for al in multi_indices(d, m)]
-    ladder = _derivative_power_sum(
-        u, orders, lambda rho, al: 1.0, p, cover, nodes_per_dim)
-    return _norm_value_from_powersum(ladder, p, nodes_per_dim, oracle_member)
+    return cover_norms([sobolev_terms(u, m, p)], cover, nodes_per_dim)[0]
 
 
-def _piece_power_sum(u, pou, j, ks, m, weight, p, nodes_per_dim):
+def rloc_norm_weighted(u, params, cover, nodes_per_dim=DEFAULT_NODES):
+    """Weighted form ||u | F^m_{tau,2}(D)|| + ||rho^{-m} u | L_tau(D)||."""
+    return cover_norms([rloc_weighted_terms(u, params)], cover,
+                       nodes_per_dim)[0]
+
+
+def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES):
+    """Sharp norm sum_{|a|=m} ||d^a (rho^{m-a} u)||_p + ||rho^{-a} u||_p."""
+    return cover_norms([sharp_terms(u, params)], cover, nodes_per_dim)[0]
+
+
+def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
     """Sum over the level-j cubes ks (N, d) of
-    int_{2Q} sum_{|alpha|<=m} weight(rho, alpha) |d^alpha(phi_{j,k} u)|^p.
+    int_{2Q} sum_{|alpha|<=m} density(rho, alpha, d^alpha(phi_{j,k} u)).
 
     Each piece is integrated on its doubled cube with a tensor rule; phi is
     bump/psi, well defined on the open doubled cube (psi >= own bump > 0).
@@ -250,10 +303,10 @@ def _piece_power_sum(u, pou, j, ks, m, weight, p, nodes_per_dim):
         bump = pou.bump_jet(j, np.repeat(kk.T, n, axis=1), pts, order=m)
         psi = pou.psi_jet(pts, order=m)
         piece = (bump / psi) * u.jet(pts, order=m)
-        rho = _rho_values(pts, pou.cover.domain)
+        rho = regularized_distance(pts, pou.cover.domain)
         for alpha in multi_indices(d, m):
-            total += float(np.sum(weight(rho, alpha)
-                                  * np.abs(piece.derivative(alpha)) ** p * w))
+            total += float(np.sum(density(rho, alpha,
+                                          piece.derivative(alpha)) * w))
     return total
 
 
@@ -261,8 +314,7 @@ def kondratiev_piece_power(u, pou, j, k, m, a, p, nodes_per_dim=DEFAULT_NODES):
     """sum_k ||phi_{j,k} u | K^m_{a,p}||^p over one level-j cube key k or a
     key stack (N, d), each piece integrated on its doubled cube with the
     exact product-rule jet of phi * u."""
-    return _piece_power_sum(u, pou, j, np.atleast_2d(k), m,
-                            lambda rho, al: rho ** ((sum(al) - a) * p), p,
+    return _piece_power_sum(u, pou, j, np.atleast_2d(k), m, _graded(a, p),
                             nodes_per_dim)
 
 
@@ -274,64 +326,23 @@ def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
     Pieces are measured in W^m_tau (= F^m_{tau,2}); tau <= 1 requires
     the wavelet sequence-norm route (wavelets module) instead.
     """
-    m = params.m
     tau = params.p if params.tau is None else params.tau
     if not 1 < tau < np.inf:
         raise Unsupported("pieces are W^m_tau only for 1 < tau < inf; "
                           "use the wavelet sequence norm for tau <= 1")
-    if m > MAX_ORDER:
-        raise Unsupported(f"derivative order capped at {MAX_ORDER}")
-    per_level = {j: _piece_power_sum(u, pou, j, ks, m, lambda rho, al: 1.0,
-                                     tau, nodes_per_dim)
+    _check_order(params.m, tau)
+    per_level = {j: _piece_power_sum(u, pou, j, ks, params.m, _plain(tau),
+                                     nodes_per_dim)
                  for j, ks in cover.levels.items()}
     ladder = _ladder(per_level)
     running = ladder[-1][1]
-    out = _norm_value_from_powersum(ladder, tau, nodes_per_dim, oracle_member)
+    out = _norm_value([(e, v ** (1.0 / tau)) for e, v in ladder],
+                      nodes_per_dim, oracle_member)
     tail = sum(per_level[j] for j in sorted(per_level)[-3:])
     if running > 0 and tail / running > TAIL_SHARE_LIMIT \
             and out.classification == FINITE:
         out.classification = INCONCLUSIVE
     return out
-
-
-def rloc_norm_weighted(u, params, cover, nodes_per_dim=DEFAULT_NODES,
-                       oracle_member=None):
-    """Weighted form ||u | F^m_{tau,2}(D)|| + ||rho^{-m} u | L_tau(D)||."""
-    m = params.m
-    tau = params.p if params.tau is None else params.tau
-    if not 1 < tau < np.inf:
-        raise Unsupported("W^m_tau realization requires 1 < tau < inf")
-    smooth = sobolev_norm(u, m, tau, cover, nodes_per_dim)
-    weighted = weighted_lp_norm(u, -m, tau, cover, nodes_per_dim,
-                                oracle_member)
-    truncs = [(e, v1 + v2) for (e, v1), (_, v2)
-              in zip(smooth.truncations, weighted.truncations, strict=True)]
-    cls = classify_truncations(truncs, oracle_member)
-    return NormValue(value=truncs[-1][1], truncations=truncs,
-                     classification=cls, quadrature_order=nodes_per_dim)
-
-
-def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
-                          oracle_member=None):
-    """Sharp norm sum_{|a|=m} ||d^a (rho^{m-a} u)||_p + ||rho^{-a} u||_p.
-
-    The multiplication by rho^{m-a} stays inside the closed test family, so
-    the top-order derivatives are exact.
-    """
-    m, a, p = params.m, params.a, params.p
-    if not 1 < p < np.inf:
-        raise InvalidParams("p must lie in (1, inf)")
-    v = multiply_by_rho_power(u, m - a)
-    top = [al for al in multi_indices(params.d, m) if sum(al) == m]
-    ladder = _derivative_power_sum(
-        v, top, lambda rho, al: 1.0, p, cover, nodes_per_dim)
-    top_truncs = [(e, val ** (1.0 / p)) for e, val in ladder]
-    low = weighted_lp_norm(u, -a, p, cover, nodes_per_dim)
-    truncs = [(e, v1 + v2) for (e, v1), (_, v2)
-              in zip(top_truncs, low.truncations, strict=True)]
-    cls = classify_truncations(truncs, oracle_member)
-    return NormValue(value=truncs[-1][1], truncations=truncs,
-                     classification=cls, quadrature_order=nodes_per_dim)
 
 
 def multiply_by_rho_power(u, gamma):

@@ -17,12 +17,13 @@ from .geometry import (ModelDomain, PartitionOfUnity, whitney_cover)
 from .jets import Jet, norm_jet
 from .profiles import WINDOW
 from . import norms
-from .norms import (SpaceParams, kondratiev_norm, kondratiev_piece_power,
-                    kondratiev_sharp_norm, multiply_by_rho_power,
-                    radial_reference_integral, rloc_norm_weighted,
-                    sobolev_norm, weighted_lp_norm, FINITE)
-from .testfns import (classify_radial_exponent, kondratiev_membership,
-                      make_test_function)
+from .norms import (SpaceParams, cover_norms, kondratiev_norm,
+                    kondratiev_piece_power, kondratiev_terms,
+                    multiply_by_rho_power, radial_reference_integral,
+                    rloc_weighted_terms, sharp_terms, sobolev_norm,
+                    sobolev_terms, weighted_lp_norm, weighted_lp_terms, FINITE)
+from .testfns import (classify_radial_exponent, f_space_membership_radial,
+                      kondratiev_membership, make_test_function)
 
 SPREAD_SAME_INTEGRABILITY = 50.0
 SPREAD_CROSS_INTEGRABILITY = 100.0
@@ -331,6 +332,11 @@ class WindowedFunction:
         return self.jet(x, 0).value
 
 
+def _norm_values(norms, cover, nodes_per_dim):
+    """Values of several norms (term lists) from one pass over the cover."""
+    return [nv.value for nv in cover_norms(norms, cover, nodes_per_dim)]
+
+
 def _filter_family(family, oracle, reason):
     kept, excluded = [], []
     for u in family:
@@ -366,9 +372,9 @@ def check_norm_equivalence_Kmm(family, m, p, domain, cover=None,
         family, lambda u: kondratiev_membership(u, m, m, p).member,
         "not in K^m_{m,p} by the exponent oracle")
     params = SpaceParams(m=m, a=m, p=p, d=domain.d, ell=domain.ell, tau=p)
-    pairs = [(kondratiev_norm(u, params, cover, nodes_per_dim).value,
-              rloc_norm_weighted(u, params, cover, nodes_per_dim).value)
-             for u in kept]
+    pairs = [_norm_values([kondratiev_terms(u, params),
+                           rloc_weighted_terms(u, params)],
+                          cover, nodes_per_dim) for u in kept]
     return _ratio_report(kept, excluded, "kondratiev(a=m)", "rloc_weighted",
                          pairs, SPREAD_SAME_INTEGRABILITY)
 
@@ -381,9 +387,8 @@ def check_sharp_norm(family, m, a, p, domain, cover=None,
         family, lambda u: kondratiev_membership(u, m, a, p).member,
         "not in K^m_{a,p} by the exponent oracle")
     params = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
-    pairs = [(kondratiev_sharp_norm(u, params, cover, nodes_per_dim).value,
-              kondratiev_norm(u, params, cover, nodes_per_dim).value)
-             for u in kept]
+    pairs = [_norm_values([sharp_terms(u, params), kondratiev_terms(u, params)],
+                          cover, nodes_per_dim) for u in kept]
     return _ratio_report(kept, excluded, "kondratiev_sharp", "kondratiev",
                          pairs, SPREAD_SAME_INTEGRABILITY)
 
@@ -421,9 +426,9 @@ def check_rho_power_isomorphism(family, m, a, a2, p, domain, cover=None,
         "not in K^m_{a,p} by the exponent oracle")
     pin = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
     pout = SpaceParams(m=m, a=a2, p=p, d=domain.d, ell=domain.ell)
-    pairs = [(kondratiev_norm(multiply_by_rho_power(u, a2 - a), pout, cover,
-                              nodes_per_dim).value,
-              kondratiev_norm(u, pin, cover, nodes_per_dim).value)
+    pairs = [_norm_values([kondratiev_terms(multiply_by_rho_power(u, a2 - a),
+                                            pout),
+                           kondratiev_terms(u, pin)], cover, nodes_per_dim)
              for u in kept]
     return _ratio_report(kept, excluded, f"kondratiev(a={a2}) after rho^g",
                          f"kondratiev(a={a})", pairs,
@@ -455,10 +460,9 @@ def check_embedding_ratio(params, family, cover=None, J=10,
     pairs = []
     if tau > 1:
         fpar = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell, tau=tau)
-        for u in kept:
-            num = rloc_norm_weighted(u, fpar, cover, nodes_per_dim)
-            den = kondratiev_norm(u, params, cover, nodes_per_dim)
-            pairs.append((num.value, den.value))
+        pairs = [_norm_values([rloc_weighted_terms(u, fpar),
+                               kondratiev_terms(u, params)],
+                              cover, nodes_per_dim) for u in kept]
     else:
         from .wavelets import (build_wavelet_system, wavelet_coefficients,
                                f_sequence_norm)
@@ -470,9 +474,10 @@ def check_embedding_ratio(params, family, cover=None, J=10,
         for u in kept:
             grid = wavelet_coefficients(lambda x: u(x), system, J, box)
             seq = f_sequence_norm(grid, s=float(m), tau=tau)
-            low = weighted_lp_norm(u, -m, tau, cover, nodes_per_dim)
-            den = kondratiev_norm(u, params, cover, nodes_per_dim)
-            pairs.append((seq.value + low.value, den.value))
+            low, den = _norm_values([weighted_lp_terms(u, -m, tau),
+                                     kondratiev_terms(u, params)],
+                                    cover, nodes_per_dim)
+            pairs.append((seq.value + low, den))
             full = seq.value ** tau
             cut = seq.truncations[-4][1] ** tau if len(seq.truncations) > 3 \
                 else 0.0
@@ -576,24 +581,20 @@ def check_derivative_mapping(family, m, alpha, p, domain, cover=None,
     k = sum(alpha)
     if m - k < 1:
         raise InvalidParams("need m - |alpha| >= 1")
-    from .testfns import f_space_membership_radial
     kept, excluded = _filter_family(
         family,
         lambda u: f_space_membership_radial(u.beta, max(u.lam, 0.0),
                                             float(m), p, domain.ell,
                                             domain.d).member,
         "not in F^{m,rloc} by the radial rule")
-    phigh = SpaceParams(m=m, a=m, p=p, d=domain.d, ell=domain.ell, tau=p)
-    plow = SpaceParams(m=m - k, a=m - k, p=p, d=domain.d, ell=domain.ell,
-                       tau=p)
     pairs = []
     for u in kept:
         du = DerivativeFunction(u, alpha)
-        num = sobolev_norm(du, m - k, p, cover, nodes_per_dim).value \
-            + weighted_lp_norm(du, -(m - k), p, cover, nodes_per_dim).value
-        den = sobolev_norm(u, m, p, cover, nodes_per_dim).value \
-            + weighted_lp_norm(u, -m, p, cover, nodes_per_dim).value
-        pairs.append((num, den))
+        ns, nw, ds, dw = _norm_values(
+            [sobolev_terms(du, m - k, p), weighted_lp_terms(du, -(m - k), p),
+             sobolev_terms(u, m, p), weighted_lp_terms(u, -m, p)],
+            cover, nodes_per_dim)
+        pairs.append((ns + nw, ds + dw))
     return _ratio_report(kept, excluded, f"rloc(m-{k}) of derivative",
                          "rloc(m)", pairs, SPREAD_CROSS_INTEGRABILITY)
 
@@ -613,14 +614,12 @@ def check_diffeo_invariance(u, diffeo, m, p, cover=None,
     if diffeo not in DIFFEO_CATALOG:
         raise InvalidParams(f"unknown diffeomorphism {diffeo!r}")
     entry = DIFFEO_CATALOG[diffeo]
-    domain = u.domain
-    cover = cover or standard_cover(domain)
+    cover = cover or standard_cover(u.domain)
     v = PulledBackFunction(u, entry["matrix"])
-    params = SpaceParams(m=m, a=m, p=p, d=domain.d, ell=domain.ell, tau=p)
-    num_s = sobolev_norm(v, m, p, cover, nodes_per_dim).value
-    num_w = weighted_lp_norm(v, -m, p, cover, nodes_per_dim).value
-    den_s = sobolev_norm(u, m, p, cover, nodes_per_dim).value
-    den_w = weighted_lp_norm(u, -m, p, cover, nodes_per_dim).value
+    num_s, num_w, den_s, den_w = _norm_values(
+        [sobolev_terms(v, m, p), weighted_lp_terms(v, -m, p),
+         sobolev_terms(u, m, p), weighted_lp_terms(u, -m, p)],
+        cover, nodes_per_dim)
     ratio = (num_s + num_w) / (den_s + den_w)
     lo, hi = entry["bound"]
     notes = {"diffeo": diffeo, "weightedTermRatio": num_w / den_w,
@@ -643,17 +642,14 @@ def check_cone_localization(u, m, a, p, cover=None,
     cover = cover or _sector_cover()
     domain = cover.domain
     params = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
-    glob = kondratiev_norm(u, params, cover, nodes_per_dim).value ** p
-    j_max = max(cover.levels)
-    local = 0.0
-    shares = {}
-    for j in range(-3, j_max + 2):
-        piece = kondratiev_norm(WindowedFunction(u, j), params, cover,
-                                nodes_per_dim).value ** p
-        local += piece
-        shares[j] = piece
+    js = range(-3, max(cover.levels) + 2)
+    glob, *pieces = [v ** p for v in _norm_values(
+        [kondratiev_terms(f, params)
+         for f in [u] + [WindowedFunction(u, j) for j in js]],
+        cover, nodes_per_dim)]
+    local = sum(pieces)
     ratio = glob / local
-    notes = {"annulusShares": {j: s / local for j, s in shares.items()
+    notes = {"annulusShares": {j: s / local for j, s in zip(js, pieces)
                                if s > 0}}
     return RatioReport(family=[u.to_json()], numerator_kind="kondratiev^p",
                        denominator_kind="sum of annulus powers",
@@ -791,11 +787,12 @@ def check_classification_grid(domain=None, m=1, p=2.0,
     ok = True
     for beta in betas:
         u = make_test_function(beta, 0.0, 1.0, domain)
-        for a in a_values:
-            oracle = kondratiev_membership(u, m, a, p)
-            params = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
-            nv = kondratiev_norm(u, params, cover, nodes_per_dim,
-                                 oracle_member=oracle.member)
+        params = [SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
+                  for a in a_values]
+        oracles = [kondratiev_membership(u, m, a, p) for a in a_values]
+        row = cover_norms([kondratiev_terms(u, q) for q in params], cover,
+                          nodes_per_dim, [o.member for o in oracles])
+        for a, oracle, nv in zip(a_values, oracles, row):
             agree = (nv.classification == FINITE) == oracle.member
             ok = ok and agree
             cells.append({"beta": beta, "a": a, "oracleMember":
@@ -820,7 +817,6 @@ def check_dual_route(family=None, m=1, tau=1.5, J=9, j_max=12,
     family = family or default_family(domain)
     cover = standard_cover(domain, radius=3, j_max=j_max)
     system = build_wavelet_system(m)
-    from .testfns import f_space_membership_radial
     kept, excluded = _filter_family(
         family,
         lambda u: f_space_membership_radial(u.beta, max(u.lam, 0.0),

@@ -9,6 +9,7 @@ over separable (tensor) wavelets on dyadic cubes chi_{j,k}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -147,8 +148,10 @@ class WaveletSystem:
         return np.interp(x, grid, self.psi_table, left=0.0, right=0.0)
 
 
+@lru_cache(maxsize=None)
 def build_wavelet_system(m):
-    """Shortest standard orthonormal system with Holder regularity > m."""
+    """Shortest standard orthonormal system with Holder regularity > m;
+    cached and shared, so its arrays are read-only."""
     for N in sorted(REGULARITY):
         if REGULARITY[N] > m:
             break
@@ -157,6 +160,8 @@ def build_wavelet_system(m):
     h = daubechies_filter(N)
     phi_tab, psi_tab, g = _cascade(h)
     mu = float(np.dot(np.arange(len(h)), h)) / np.sqrt(2.0)
+    for arr in (h, g, phi_tab, psi_tab):
+        arr.setflags(write=False)
     return WaveletSystem(filter=h, gfilter=g, order=N,
                          regularity_order=REGULARITY[N],
                          phi_table=phi_tab, psi_table=psi_tab,
@@ -200,18 +205,6 @@ class CoefficientGrid:
         return {j: max((float(np.max(np.abs(arr))) if arr.size else 0.0)
                        for _, arr in bands.values())
                 for j, bands in self.levels.items()}
-
-    def csv_rows(self):
-        """Deterministic flat rows {j, G, k..., value}, nonzero entries."""
-        for j in sorted(self.levels):
-            for g in sorted(self.levels[j]):
-                origin, arr = self.levels[j][g]
-                it = np.nditer(arr, flags=["multi_index"])
-                for v in it:
-                    if v != 0.0:
-                        k = tuple(int(o + i) for o, i
-                                  in zip(origin, it.multi_index))
-                        yield (j, g) + k + (float(v),)
 
 
 def _analyze_axis(arr, origin, filt, axis):

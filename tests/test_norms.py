@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from klab import norms
 from klab.errors import Unsupported
-from klab.geometry import ModelDomain, PartitionOfUnity, whitney_cover
+from klab.geometry import (ModelDomain, PartitionOfUnity,
+                           regularized_distance, whitney_cover)
 from klab.jets import multi_indices
 from klab.norms import (DIVERGENT, FINITE, INCONCLUSIVE, SpaceParams,
                         classify_radial_integral, kondratiev_norm,
@@ -108,9 +109,12 @@ def test_integral_ladder_equals_per_level_sums(monkeypatch):
     def integrand(x):
         sizes.append(x.shape[1])
         jet = u.jet(x, order=1)
-        rho = norms._rho_values(x, cov.domain)
+        rho = regularized_distance(x, cov.domain)
         return sum(rho ** (2 * sum(al) - 1) * jet.derivative(al) ** 2
                    for al in multi_indices(2, 1))
+
+    def second(x):
+        return np.abs(u(x)) ** 1.5
 
     want = _per_level_ladder(cov, integrand, 4)
     sizes.clear()
@@ -119,6 +123,33 @@ def test_integral_ladder_equals_per_level_sums(monkeypatch):
     assert got == want
     total = 16 * sum(len(ks) for ks in cov.levels.values())
     assert sizes[:-1] == [48] * (total // 48) and sum(sizes) == total
+    # an integrand of two rows gives the two one-row ladders, bit for bit
+    rows = norms.integral_ladder(
+        cov, lambda x: np.stack([integrand(x), second(x)]), 4)
+    assert rows == [got, norms.integral_ladder(cov, second, 4)]
+
+
+def test_cover_norms_equal_one_norm_each(monkeypatch):
+    # one pass with one jet per slice at the highest order (2) gives every
+    # norm bit for bit as its own ladder does, the order-0 and the
+    # rho^{m-a} u terms included; 4,000-node slices split the levels
+    dom = ModelDomain(3, 1)
+    cov = whitney_cover(dom, ((-1,) * 3, (1,) * 3), 5)
+    u = make_test_function(2.0, -0.7, 1.0, dom)
+    params = SpaceParams(m=2, a=0.5, p=2.0, d=3, ell=1, tau=1.5)
+    monkeypatch.setattr(norms, "SLICE_NODES", 4000)
+    norms_and_calls = [
+        (norms.kondratiev_terms(u, params), kondratiev_norm(u, params, cov, 4)),
+        (norms.rloc_weighted_terms(u, params),
+         rloc_norm_weighted(u, params, cov, 4)),
+        (norms.sharp_terms(u, params), kondratiev_sharp_norm(u, params, cov, 4)),
+        (norms.weighted_lp_terms(u, 0.0, 2.0),
+         weighted_lp_norm(u, 0.0, 2.0, cov, 4)),
+        (norms.sobolev_terms(u, 1, 3.0), sobolev_norm(u, 1, 3.0, cov, 4))]
+    got = norms.cover_norms([t for t, _ in norms_and_calls], cov, 4)
+    for nv, (_, want) in zip(got, norms_and_calls, strict=True):
+        assert nv.truncations == want.truncations
+        assert nv.classification == want.classification
 
 
 def test_integral_ladder_split_levels_match_whole(dom, cover, monkeypatch):

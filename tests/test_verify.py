@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from klab import norms, testfns
 from klab.errors import EmptyFamily, InvalidParams
 from klab.geometry import ModelDomain, PartitionOfUnity, whitney_cover
+from klab.norms import SpaceParams
 from klab.testfns import make_test_function
 from klab.verify import (DIFFEO_CATALOG, EXPERIMENTS, check_classification_grid,
                          check_cone_localization,
                          check_counterexample_divergence,
                          check_derivative_mapping, check_diffeo_invariance,
+                         check_embedding_ratio,
                          check_localization, check_norm_equivalence_Kmm,
                          check_partition_diagnostics,
                          check_rho_power_isomorphism, check_scaling_homogeneity,
@@ -40,6 +43,39 @@ def test_truth_table_no_mismatches():
 def test_norm_equivalence(fam, dom, cover):
     r = check_norm_equivalence_Kmm(fam, 1, 2.0, dom, cover)
     assert r.passed and r.spread < 50
+
+
+def test_one_jet_per_slice_for_all_norms_of_a_member(dom, monkeypatch):
+    # a member's norms come from one pass over the cover, so its jet is
+    # built once per slice, not once per norm (three norms, and two beside
+    # the wavelet route)
+    cover = standard_cover(dom, radius=2, j_max=6)
+    monkeypatch.setattr(norms, "SLICE_NODES", 1000)
+    nodes = sum(len(ks) for ks in cover.levels.values()) * 4 ** 2
+    slices = -(-nodes // 1000)
+    ladder, jet = norms.integral_ladder, testfns.TestFunction.jet
+    depth, calls = [], []
+
+    def counted_ladder(*args, **kwargs):
+        depth.append(1)
+        try:
+            return ladder(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def counted_jet(self, *args, **kwargs):
+        calls.extend(depth)
+        return jet(self, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "integral_ladder", counted_ladder)
+    monkeypatch.setattr(testfns.TestFunction, "jet", counted_jet)
+    u = make_test_function(1.5, 0.0, 1.0, dom)
+    check_norm_equivalence_Kmm([u], 1, 2.0, dom, cover, nodes_per_dim=4)
+    assert len(calls) == slices > 1
+    calls.clear()
+    params = SpaceParams(m=2, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
+    check_embedding_ratio(params, [u], cover=cover, J=5, nodes_per_dim=4)
+    assert len(calls) == slices
 
 
 def test_sharp_norm(fam, dom, cover):

@@ -182,13 +182,13 @@ def test_coefficient_decay_of_smooth_function(sys1):
     assert all(s > 1.4 for s in slopes)
 
 
-def test_csv_rows_deterministic(sys1):
-    def u(x):
-        return np.exp(-x[0] ** 2)
-
-    g1 = wavelet_coefficients(u, sys1, 5, ((-2.0,), (2.0,)))
-    g2 = wavelet_coefficients(u, sys1, 5, ((-2.0,), (2.0,)))
-    assert list(g1.csv_rows()) == list(g2.csv_rows())
+def test_wavelet_system_is_shared_and_read_only():
+    system = build_wavelet_system(2)
+    assert build_wavelet_system(2) is system
+    for arr in (system.filter, system.gfilter, system.phi_table,
+                system.psi_table):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_2d_parseval_small():

@@ -1,7 +1,7 @@
 """Compare a parent commit with the working tree on one benchmark workload.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload norm-ladders \
-        --seeds 1-10
+        --seeds 1-10 --out BENCH_mychange_norm-ladders.json
 
 Run it from the root of a klab checkout.  The parent's committed files are
 extracted with git archive into a temporary directory, removed again at the
@@ -11,7 +11,9 @@ swapped from one pair to the next, so drift in the host's speed falls on
 both.  For each end-to-end metric of BENCHMARK.json the tool prints the
 median and quartiles on each side, how many pairs the change won (ties
 count for neither side), and the parent's interquartile range; then the
-failed and attempted operation counts of each side.  Standard library
+failed and attempted operation counts of each side.  With --out it also
+writes that summary as JSON, with the seeds, the run length, both sides'
+commits and the provenance their benchmark runs printed.  Standard library
 only.
 """
 
@@ -41,18 +43,23 @@ def parse_args(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="seed list, e.g. 1-10 or 3,5,8")
+    parser.add_argument("--out", type=Path,
+                        help="write the summary to this JSON file")
     return parser.parse_args(argv)
 
 
 def run_side(root, workload, seed, seconds):
-    """One untraced benchmark run; returns its closing JSON object."""
+    """One untraced benchmark run; returns its closing JSON object, with
+    the provenance line the run printed first under "provenance"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} in {root} exited "
                  f"{out.returncode}:\n{out.stderr}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = [json.loads(line) for line in out.stdout.splitlines()
+             if line.startswith("{")]
+    return dict(lines[-1], provenance=lines[0]["provenance"])
 
 
 def quartiles(values):
@@ -63,28 +70,52 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(metrics, results):
-    """Print one row per end-to-end metric and the operation counts."""
-    print(f"{'metric':14s} {'parent median [q1, q3]':>34s} "
-          f"{'change median [q1, q3]':>34s} {'wins':>7s} {'parent IQR':>11s}")
+def summary(metrics, results):
+    """Per end-to-end metric: each side's median and quartiles, the pairs
+    the change won and the parent's interquartile range; per side: the
+    failed and attempted operations."""
+    out = {"metrics": {}, "operations": {}}
     for spec in metrics:
         name = spec["name"]
         sides = {side: [r["metrics"][name]["value"] for r in results[side]]
                  for side in ("parent", "change")}
         sign = 1.0 if spec["better"] == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0
-                   for p, c in zip(sides["parent"], sides["change"]))
-        cols = []
+        row = {"unit": spec["unit"], "better": spec["better"],
+               "wins": sum(sign * (c - p) < 0 for p, c
+                           in zip(sides["parent"], sides["change"])),
+               "pairs": len(sides["parent"])}
         for side in ("parent", "change"):
             q1, q2, q3 = quartiles(sides[side])
-            cols.append(f"{q2:.4f} [{q1:.4f}, {q3:.4f}] {spec['unit']}")
-        q1, _, q3 = quartiles(sides["parent"])
-        print(f"{name:14s} {cols[0]:>34s} {cols[1]:>34s} "
-              f"{wins:>3d}/{len(sides['parent']):<3d} {q3 - q1:11.4f}")
+            row[side] = {"median": q2, "q1": q1, "q3": q3,
+                         "values": sides[side]}
+        row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
+        out["metrics"][name] = row
     for side in ("parent", "change"):
-        failed = sum(r["failed"] for r in results[side])
-        attempted = sum(r["attempted"] for r in results[side])
-        print(f"{side}: {failed} failed of {attempted} operations attempted")
+        out["operations"][side] = {
+            "failed": sum(r["failed"] for r in results[side]),
+            "attempted": sum(r["attempted"] for r in results[side])}
+    return out
+
+
+def print_summary(summ):
+    """One row per end-to-end metric, then the operation counts."""
+    print(f"{'metric':14s} {'parent median [q1, q3]':>34s} "
+          f"{'change median [q1, q3]':>34s} {'wins':>7s} {'parent IQR':>11s}")
+    for name, row in summ["metrics"].items():
+        cols = [f"{row[side]['median']:.4f} [{row[side]['q1']:.4f}, "
+                f"{row[side]['q3']:.4f}] {row['unit']}"
+                for side in ("parent", "change")]
+        wins = f"{row['wins']:>3d}/{row['pairs']:<3d}"
+        print(f"{name:14s} {cols[0]:>34s} {cols[1]:>34s} {wins} "
+              f"{row['parent_iqr']:11.4f}")
+    for side, ops in summ["operations"].items():
+        print(f"{side}: {ops['failed']} failed of {ops['attempted']} "
+              f"operations attempted")
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def main(argv=None):
@@ -109,7 +140,20 @@ def main(argv=None):
                 f"{side} run_s {results[side][-1]['metrics']['run_s']['value']:.4f}"
                 for side in order)
             print(f"seed {seed}: {row}", flush=True)
-    summarize(bench["end_to_end"], results)
+    summ = summary(bench["end_to_end"], results)
+    print_summary(summ)
+    if args.out:
+        change = git("rev-parse", "HEAD")
+        if git("status", "--porcelain", "--untracked-files=no"):
+            change += " with uncommitted changes"
+        summ.update(
+            workload=args.workload, seeds=args.seeds,
+            run_seconds=bench["run_seconds"],
+            commits={"parent": git("rev-parse", args.parent),
+                     "change": change},
+            provenance={side: [r["provenance"] for r in results[side]]
+                        for side in ("parent", "change")})
+        args.out.write_text(json.dumps(summ, indent=1) + "\n")
     return 0
 
 
