@@ -8,12 +8,11 @@ from .geometry import (ModelDomain, WhitneyCover, PartitionOfUnity,
                        whitney_cover, regularized_distance)
 from .testfns import (TestFunction, MembershipVerdict, make_test_function,
                       kondratiev_membership, f_space_membership_radial)
-from .norms import (SpaceParams, NormValue, kondratiev_norm, sobolev_norm,
-                    kondratiev_sharp_norm, rloc_norm_localized,
-                    rloc_norm_weighted, weighted_lp_norm,
-                    multiply_by_rho_power, classify_radial_integral,
-                    radial_reference_integral, FINITE, DIVERGENT,
-                    INCONCLUSIVE)
+from .norms import (SpaceParams, NormValue, cover_norms, kondratiev_terms,
+                    sobolev_terms, weighted_lp_terms, rloc_weighted_terms,
+                    sharp_terms, rloc_norm_localized, multiply_by_rho_power,
+                    classify_radial_integral, radial_reference_integral,
+                    FINITE, DIVERGENT, INCONCLUSIVE)
 from .wavelets import (WaveletSystem, CoefficientGrid, daubechies_filter,
                        build_wavelet_system, wavelet_coefficients,
                        f_sequence_norm, synthesize)

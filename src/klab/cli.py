@@ -4,8 +4,8 @@ Exit codes: 0 success / check passed / Holds, 1 failed check / Fails,
 2 invalid input, 3 an UndeterminedByPaper verdict.  Every experiment writes
 and re-reads its results through one report protocol (klab.verify).
 Every JSON output embeds the resolved run configuration (cover constants,
-quadrature order, thread cap, Python/numpy/scipy versions) under schema
-"klab-report/1".
+quadrature order, the BLAS thread variables the process saw,
+Python/numpy/scipy versions) under schema "klab-report/1".
 """
 
 from __future__ import annotations
@@ -25,19 +25,9 @@ EXIT_FAILED = 1
 EXIT_INVALID = 2
 EXIT_UNDETERMINED = 3
 
-
-def _thread_cap():
-    raw = os.environ.get("KLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-        return n
-    return None
+# numpy's BLAS reads these once, when it loads, so reports record them as
+# the process started with them
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _versions():
@@ -58,7 +48,7 @@ def _run_config(args, extra=None):
                               "c0Level0": geometry.C0_LEVEL0},
            "quadratureNodesPerDim": getattr(args, "nodes",
                                             norms.DEFAULT_NODES),
-           "threads": _thread_cap(),
+           "threads": {var: os.environ.get(var) for var in THREAD_VARS},
            "versions": _versions()}
     for key in ("m", "a", "p", "tau", "d", "delta", "ell", "beta", "lam",
                 "R", "j_max", "J", "out"):
@@ -130,11 +120,10 @@ def _cmd_adaptivity(args):
 
 
 def _cmd_norm(args):
-    from .geometry import ModelDomain
-    from .norms import (SpaceParams, kondratiev_norm, sobolev_norm,
-                        kondratiev_sharp_norm, rloc_norm_localized,
-                        rloc_norm_weighted)
-    from .geometry import whitney_cover, PartitionOfUnity
+    from .geometry import ModelDomain, PartitionOfUnity, whitney_cover
+    from .norms import (SpaceParams, cover_norms, kondratiev_terms,
+                        rloc_norm_localized, rloc_weighted_terms, sharp_terms,
+                        sobolev_terms)
     from .testfns import make_test_function, kondratiev_membership
     from .verify import SummaryReport
     domain = ModelDomain(args.d, args.ell)
@@ -145,18 +134,17 @@ def _cmd_norm(args):
     params = SpaceParams(m=args.m, a=args.a, p=args.p, d=args.d,
                          ell=args.ell, tau=args.tau)
     member = kondratiev_membership(u, args.m, args.a, args.p).member
-    if args.kind == "kondratiev":
-        nv = kondratiev_norm(u, params, cover, args.nodes,
-                             oracle_member=member)
-    elif args.kind == "sobolev":
-        nv = sobolev_norm(u, args.m, args.p, cover, args.nodes)
-    elif args.kind == "sharp":
-        nv = kondratiev_sharp_norm(u, params, cover, args.nodes)
-    elif args.kind == "rloc-weighted":
-        nv = rloc_norm_weighted(u, params, cover, args.nodes)
+    terms = {"kondratiev": lambda: kondratiev_terms(u, params),
+             "sobolev": lambda: sobolev_terms(u, args.m, args.p),
+             "sharp": lambda: sharp_terms(u, params),
+             "rloc-weighted": lambda: rloc_weighted_terms(u, params)}
+    if args.kind in terms:
+        # only the Kondratiev norm has a membership oracle
+        oracle = member if args.kind == "kondratiev" else None
+        nv, = cover_norms([terms[args.kind]()], cover, args.nodes, [oracle])
     else:
-        pou = PartitionOfUnity(cover)
-        nv = rloc_norm_localized(u, params, cover, pou, args.nodes)
+        nv = rloc_norm_localized(u, params, cover, PartitionOfUnity(cover),
+                                 args.nodes)
     stats = nv.to_json()
     stats["oracleMember"] = member
     return _emit(args, f"norm-{args.kind}",
@@ -321,7 +309,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
-    _thread_cap()
     from .errors import KlabError
     try:
         return args.func(args)

@@ -137,9 +137,6 @@ class Jet:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.dim, self.order, [a * other for a in self.coeffs])
@@ -158,9 +155,6 @@ class Jet:
         if not isinstance(other, Jet):
             return self * (1.0 / other)
         return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
 
     # -- univariate composition -------------------------------------------
     def compose(self, outer_derivs):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -115,7 +116,8 @@ def integral_ladder(cover, integrand, nodes_per_dim=DEFAULT_NODES):
     from 2^-TRUNCATION_K_MIN down to 2^-j_max.  The cover's nodes are held
     once, filled level by level; one integrand call per slice of at most
     SLICE_NODES of them, and each level's total is one np.sum over its own.
-    An integrand of r rows, shape (r, N), gives a list of r such ladders.
+    The integrand returns r rows, shape (r, N), and gives a list of r such
+    ladders.
     """
     levels = sorted(cover.levels)
     d = len(cover.box[0])
@@ -128,12 +130,20 @@ def integral_ladder(cover, integrand, nodes_per_dim=DEFAULT_NODES):
     vals = None
     for s in range(0, wts.size, SLICE_NODES):
         f = integrand(pts[:, s:s + SLICE_NODES])
-        if vals is None:   # one row is weighted in place
-            vals = wts[None] if f.ndim == 1 else np.empty((len(f), wts.size))
+        if vals is None:
+            vals = np.empty((len(f), wts.size))
         vals[:, s:s + SLICE_NODES] = wts[s:s + SLICE_NODES] * f
-    ladders = [_ladder({j: float(np.sum(row[lo:hi])) for j, lo, hi in bounds})
-               for row in vals]
-    return ladders[0] if f.ndim == 1 else ladders
+    return [_ladder({j: float(np.sum(row[lo:hi])) for j, lo, hi in bounds})
+            for row in vals]
+
+
+def tail_share(powers):
+    """Share of the last three levels in a ladder of cumulative p-th powers,
+    1 - powers[-4] / powers[-1]: 1 for fewer than four levels, 0 for a
+    zero total."""
+    if not powers[-1] > 0:
+        return 0.0
+    return 1.0 - (powers[-4] if len(powers) > 3 else 0.0) / powers[-1]
 
 
 def classify_truncations(truncations, oracle_member=None):
@@ -174,26 +184,30 @@ def _check_order(m, p):
 
 
 def kondratiev_terms(u, params):
-    """The terms of `kondratiev_norm`, for `cover_norms`."""
+    """Terms of the Kondratiev norm
+    (sum_{|a|<=m} int |rho^{|a|-a} d^a u|^p)^{1/p}."""
     _check_order(params.m, params.p)
     return [(u, 0, params.m, _graded(params.a, params.p), params.p)]
 
 
 def sobolev_terms(u, m, p):
-    """The terms of `sobolev_norm`, for `cover_norms`."""
+    """Terms of the W^m_p norm (sum_{|a|<=m} ||d^a u||_p^p)^{1/p}; it
+    realizes F^m_{p,2} for 1 < p < inf."""
     _check_order(m, p)
     return [(u, 0, m, _plain(p), p)]
 
 
 def weighted_lp_terms(u, w, p):
-    """The one term of `weighted_lp_norm`: |rho^w u|^p, in that form."""
+    """The one term of the weighted L_p norm (int |rho^w u|^p dx)^{1/p}, in
+    that form."""
     if not p > 0:
         raise InvalidParams("p must be positive")
     return [(u, 0, 0, lambda rho, al, v: np.abs(rho ** w * v) ** p, p)]
 
 
 def rloc_weighted_terms(u, params):
-    """The terms of `rloc_norm_weighted`, for `cover_norms`."""
+    """Terms of the weighted refined-localization norm
+    ||u | F^m_{tau,2}(D)|| + ||rho^{-m} u | L_tau(D)||."""
     tau = params.p if params.tau is None else params.tau
     if not 1 < tau < np.inf:
         raise Unsupported("W^m_tau realization requires 1 < tau < inf")
@@ -202,8 +216,10 @@ def rloc_weighted_terms(u, params):
 
 
 def sharp_terms(u, params):
-    """The terms of `kondratiev_sharp_norm`; rho^{m-a} u stays in the closed
-    test family, so its top-order derivatives are exact."""
+    """Terms of the sharp norm
+    sum_{|a|=m} ||d^a (rho^{m-a} u)||_p + ||rho^{-a} u||_p; rho^{m-a} u
+    stays in the closed test family, so its top-order derivatives are
+    exact."""
     m, a, p = params.m, params.a, params.p
     _check_order(m, p)
     return ([(multiply_by_rho_power(u, m - a), m, m, _plain(p), p)]
@@ -221,7 +237,7 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
     order = {}
     for u, _, hi, _, _ in terms:
         order[u] = max(order.get(u, 0), hi)
-    alphas = multi_indices(len(cover.box[0]), max(order.values()))
+    alphas = multi_indices(len(cover.box[0]), max(order.values(), default=0))
 
     def integrand(x):
         jets = {u: u.jet(x, order=k) for u, k in order.items()}
@@ -247,37 +263,6 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
 def _norm_value(truncs, nodes_per_dim, oracle_member):
     return NormValue(truncs[-1][1], truncs,
                      classify_truncations(truncs, oracle_member), nodes_per_dim)
-
-
-def weighted_lp_norm(u, w, p, cover, nodes_per_dim=DEFAULT_NODES,
-                     oracle_member=None):
-    """(int_{dist > eps} |rho^w u|^p dx)^{1/p} with full truncation ladder."""
-    return cover_norms([weighted_lp_terms(u, w, p)], cover, nodes_per_dim,
-                       [oracle_member])[0]
-
-
-def kondratiev_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES,
-                    oracle_member=None):
-    """Weighted-Sobolev norm (sum_{|a|<=m} int |rho^{|a|-a} d^a u|^p)^{1/p}."""
-    return cover_norms([kondratiev_terms(u, params)], cover, nodes_per_dim,
-                       [oracle_member])[0]
-
-
-def sobolev_norm(u, m, p, cover, nodes_per_dim=DEFAULT_NODES):
-    """W^m_p norm (sum_{|a|<=m} ||d^a u||_p^p)^{1/p}; realizes F^m_{p,2}
-    for 1 < p < inf."""
-    return cover_norms([sobolev_terms(u, m, p)], cover, nodes_per_dim)[0]
-
-
-def rloc_norm_weighted(u, params, cover, nodes_per_dim=DEFAULT_NODES):
-    """Weighted form ||u | F^m_{tau,2}(D)|| + ||rho^{-m} u | L_tau(D)||."""
-    return cover_norms([rloc_weighted_terms(u, params)], cover,
-                       nodes_per_dim)[0]
-
-
-def kondratiev_sharp_norm(u, params, cover, nodes_per_dim=DEFAULT_NODES):
-    """Sharp norm sum_{|a|=m} ||d^a (rho^{m-a} u)||_p + ||rho^{-a} u||_p."""
-    return cover_norms([sharp_terms(u, params)], cover, nodes_per_dim)[0]
 
 
 def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
@@ -334,13 +319,10 @@ def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
     per_level = {j: _piece_power_sum(u, pou, j, ks, params.m, _plain(tau),
                                      nodes_per_dim)
                  for j, ks in cover.levels.items()}
-    ladder = _ladder(per_level)
-    running = ladder[-1][1]
-    out = _norm_value([(e, v ** (1.0 / tau)) for e, v in ladder],
+    out = _norm_value([(e, v ** (1.0 / tau)) for e, v in _ladder(per_level)],
                       nodes_per_dim, oracle_member)
-    tail = sum(per_level[j] for j in sorted(per_level)[-3:])
-    if running > 0 and tail / running > TAIL_SHARE_LIMIT \
-            and out.classification == FINITE:
+    powers = list(accumulate(per_level[j] for j in sorted(per_level)))
+    if tail_share(powers) > TAIL_SHARE_LIMIT and out.classification == FINITE:
         out.classification = INCONCLUSIVE
     return out
 

@@ -17,11 +17,11 @@ from .geometry import (ModelDomain, PartitionOfUnity, whitney_cover)
 from .jets import Jet, norm_jet
 from .profiles import WINDOW
 from . import norms
-from .norms import (SpaceParams, cover_norms, kondratiev_norm,
-                    kondratiev_piece_power, kondratiev_terms,
-                    multiply_by_rho_power, radial_reference_integral,
-                    rloc_weighted_terms, sharp_terms, sobolev_norm,
-                    sobolev_terms, weighted_lp_norm, weighted_lp_terms, FINITE)
+from .norms import (SpaceParams, cover_norms, kondratiev_piece_power,
+                    kondratiev_terms, multiply_by_rho_power,
+                    radial_reference_integral, rloc_weighted_terms,
+                    sharp_terms, sobolev_terms, tail_share, weighted_lp_terms,
+                    FINITE)
 from .testfns import (classify_radial_exponent, f_space_membership_radial,
                       kondratiev_membership, make_test_function)
 
@@ -266,9 +266,6 @@ class DerivativeFunction:
         return self.u.jet(x, order + sum(self.alpha)).derivative_jet(
             self.alpha)
 
-    def __call__(self, x):
-        return self.jet(x, 0).value
-
 
 class PulledBackFunction:
     """u(A x) for a linear map A (diffeomorphism catalog entries)."""
@@ -289,9 +286,6 @@ class PulledBackFunction:
             ycoords.append(acc)
         return self.u.jet_from_coords(ycoords)
 
-    def __call__(self, x):
-        return self.jet(x, 0).value
-
 
 class ScaledFunction:
     """u(2^k x); dyadic arguments and derivative factors are float-exact."""
@@ -309,9 +303,6 @@ class ScaledFunction:
                                                              jet.order))]
         return Jet(jet.dim, jet.order, coeffs)
 
-    def __call__(self, x):
-        return self.jet(x, 0).value
-
 
 class WindowedFunction:
     """phi_j(x) u(x) with the dyadic annular window phi_j = w(log2(1/|x|)-j)."""
@@ -327,9 +318,6 @@ class WindowedFunction:
         t = r.log() * (-1.0 / math.log(2.0)) - float(self.j)
         w = t.compose(WINDOW.derivs(t.value, order))
         return w * self.u.jet_from_coords(coords)
-
-    def __call__(self, x):
-        return self.jet(x, 0).value
 
 
 def _norm_values(norms, cover, nodes_per_dim):
@@ -397,7 +385,8 @@ def check_localization(family, m, a, p, cover, pou,
                        nodes_per_dim=norms.DEFAULT_NODES):
     """Global Kondratiev p-power vs the sum over Whitney pieces.
 
-    The local side is sum_{j,k} ||phi_{j,k} u | K^m_{a,p}||^p, one
+    The global sides of all members come from one pass over the cover; the
+    local side is sum_{j,k} ||phi_{j,k} u | K^m_{a,p}||^p, one
     kondratiev_piece_power call per non-empty level of the cover.
     """
     domain = cover.domain
@@ -405,13 +394,14 @@ def check_localization(family, m, a, p, cover, pou,
         family, lambda u: kondratiev_membership(u, m, a, p).member,
         "not in K^m_{a,p} by the exponent oracle")
     params = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
+    globs = _norm_values([kondratiev_terms(u, params) for u in kept], cover,
+                         nodes_per_dim)
     pairs = []
-    for u in kept:
-        glob = kondratiev_norm(u, params, cover, nodes_per_dim).value ** p
+    for u, glob in zip(kept, globs):
         local = sum(kondratiev_piece_power(u, pou, j, ks, m, a, p,
                                            nodes_per_dim)
                     for j, ks in sorted(cover.levels.items()) if len(ks))
-        pairs.append((glob, local))
+        pairs.append((glob ** p, local))
     return _ratio_report(kept, excluded, "kondratiev^p",
                          "sum of piece powers", pairs,
                          SPREAD_SAME_INTEGRABILITY)
@@ -478,10 +468,7 @@ def check_embedding_ratio(params, family, cover=None, J=10,
                                      kondratiev_terms(u, params)],
                                     cover, nodes_per_dim)
             pairs.append((seq.value + low, den))
-            full = seq.value ** tau
-            cut = seq.truncations[-4][1] ** tau if len(seq.truncations) > 3 \
-                else 0.0
-            tails.append(1.0 - cut / full if full > 0 else 0.0)
+            tails.append(tail_share([v ** tau for _, v in seq.truncations]))
         notes["tailShares"] = tails
     report = _ratio_report(kept, excluded, f"rloc_weighted(tau={tau})",
                            f"kondratiev(p={p})", pairs,
@@ -809,7 +796,8 @@ def check_dual_route(family=None, m=1, tau=1.5, J=9, j_max=12,
     Both routes realize F^m_{tau,2} up to equivalence; the ratio spread over
     the family must stay below the cross-integrability bound.  The Parseval
     check compares the summed squared coefficients of the plateau cutoff to
-    its squared L_2 norm.
+    its squared L_2 norm.  The Sobolev norms of all members and the L_2
+    norm of the cutoff come from one pass over the cover.
     """
     from .wavelets import (build_wavelet_system, wavelet_coefficients,
                            f_sequence_norm)
@@ -825,19 +813,19 @@ def check_dual_route(family=None, m=1, tau=1.5, J=9, j_max=12,
         "not in F^m_{tau,2} by the radial rule")
     half = max(int(math.ceil(2 * max(u.R for u in kept))), 1)
     box = ((-float(half),) * domain.d, (float(half),) * domain.d)
+    zeta = make_test_function(0.0, 0.0, 1.0, domain)
+    *sobs, l2 = _norm_values([sobolev_terms(u, m, tau) for u in kept]
+                             + [weighted_lp_terms(zeta, 0.0, 2.0)],
+                             cover, nodes_per_dim)
     pairs = []
-    for u in kept:
+    for u, sob in zip(kept, sobs):
         grid = wavelet_coefficients(lambda x: u(x), system, J, box)
-        seq = f_sequence_norm(grid, s=float(m), tau=tau)
-        sob = sobolev_norm(u, m, tau, cover, nodes_per_dim)
-        pairs.append((seq.value, sob.value))
+        pairs.append((f_sequence_norm(grid, s=float(m), tau=tau).value, sob))
     report = _ratio_report(kept, excluded, "f_sequence_norm",
                            "sobolev_norm", pairs,
                            SPREAD_CROSS_INTEGRABILITY)
-    zeta = make_test_function(0.0, 0.0, 1.0, domain)
     grid = wavelet_coefficients(lambda x: zeta(x), system, parseval_J, box)
-    l2 = weighted_lp_norm(zeta, 0.0, 2.0, cover, nodes_per_dim)
-    parseval_rel = abs(grid.sum_of_squares() - l2.value ** 2) / l2.value ** 2
+    parseval_rel = abs(grid.sum_of_squares() - l2 ** 2) / l2 ** 2
     report.notes["parsevalRelativeError"] = parseval_rel
     report.passed = report.passed and parseval_rel < 0.01
     return report

@@ -15,7 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParams, Unsupported
-from .norms import NormValue, FINITE, INCONCLUSIVE, TAIL_SHARE_LIMIT
+from .norms import (NormValue, FINITE, INCONCLUSIVE, TAIL_SHARE_LIMIT,
+                    tail_share)
 
 CASCADE_K = 12          # cascade-table resolution 2^-K
 MAX_LEVEL = 12          # deepest decomposition level
@@ -345,7 +346,7 @@ def f_sequence_norm(coeffs, s, tau):
 
     Returns a NormValue whose truncations list the partial norms including
     levels <= j; classification flips to Inconclusive when the last three
-    levels carry more than 10% of the integral.
+    levels carry more than 10% of the integral (`norms.tail_share`).
 
     The square function restricted to levels <= j is constant on level-j
     cells, so one unit slab of the box at a time it is accumulated coarse to
@@ -383,11 +384,7 @@ def f_sequence_norm(coeffs, s, tau):
                 sq[dst] += arr[src] ** 2 * weight
             partial[j] += float(np.sum(sq ** (tau / 2.0))) * 2.0 ** (-j * d)
     truncs = [(2.0 ** -j, partial[j] ** (1.0 / tau)) for j in levels]
-    total = partial[levels[-1]]
-    out = NormValue(value=truncs[-1][1], truncations=truncs,
-                    classification=FINITE, quadrature_order=0)
-    if len(levels) > 3 and total > 0:
-        low = partial[levels[-4]]
-        if 1.0 - low / total > TAIL_SHARE_LIMIT:
-            out.classification = INCONCLUSIVE
-    return out
+    share = tail_share([partial[j] for j in levels])
+    return NormValue(value=truncs[-1][1], truncations=truncs,
+                     classification=INCONCLUSIVE if share > TAIL_SHARE_LIMIT
+                     else FINITE, quadrature_order=0)

@@ -5,12 +5,10 @@ measured runtime, appends it to acceptance.log at the repository root, then
 asserts the stated tolerance and budget.
 """
 
-import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from klab.geometry import ModelDomain, PartitionOfUnity
 from klab.norms import SpaceParams

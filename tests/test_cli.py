@@ -13,7 +13,10 @@ from pathlib import Path
 from klab import verify
 from klab.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_OK, EXIT_UNDETERMINED,
                       main)
-from klab.geometry import ModelDomain, PartitionOfUnity
+import pytest
+
+from klab import norms
+from klab.geometry import ModelDomain, PartitionOfUnity, whitney_cover
 from klab.norms import SpaceParams
 from klab.testfns import make_test_function
 
@@ -123,6 +126,65 @@ def test_norm_subcommand(capsys):
     doc = json.loads(out)
     assert doc["statistics"]["classification"] == "Finite"
     assert doc["statistics"]["value"] > 0
+
+
+# each cover kind of `klab norm`: its terms, and whether the Kondratiev
+# membership oracle classifies it
+NORM_KINDS = {
+    "kondratiev": (lambda u, q: norms.kondratiev_terms(u, q), True),
+    "sobolev": (lambda u, q: norms.sobolev_terms(u, q.m, q.p), False),
+    "sharp": (lambda u, q: norms.sharp_terms(u, q), False),
+    "rloc-weighted": (lambda u, q: norms.rloc_weighted_terms(u, q), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NORM_KINDS))
+def test_norm_kind_equals_cover_norms_of_its_terms(capsys, kind):
+    # beta = -0.6 is outside K^1_{1/2,2}, so the oracle says "Divergent"
+    code, out = run(capsys, "norm", "--kind", kind, "--m", "1", "--a", "0.5",
+                    "--p", "2", "--tau", "1.5", "--d", "2", "--ell", "0",
+                    "--beta", "-0.6", "--lambda", "-0.7", "--j-max", "6",
+                    "--nodes", "4")
+    assert code == EXIT_OK
+    stats = json.loads(out)["statistics"]
+    domain = ModelDomain(2, 0)
+    u = make_test_function(-0.6, -0.7, 1.0, domain)
+    params = SpaceParams(m=1, a=0.5, p=2.0, d=2, ell=0, tau=1.5)
+    cover = whitney_cover(domain, ((-2, -2), (2, 2)), 6)
+    terms, oracle = NORM_KINDS[kind]
+    nv, = norms.cover_norms([terms(u, params)], cover, 4,
+                            [stats["oracleMember"] if oracle else None])
+    assert stats.pop("oracleMember") is False
+    assert stats == json.loads(json.dumps(nv.to_json()))
+    assert (stats["classification"] == "Divergent") is oracle
+
+
+THREADS_REPORT = """
+import json, os, sys
+from klab.cli import main
+main({argv!r})
+print(json.dumps(os.environ.get("OMP_NUM_THREADS")))
+"""
+
+
+def test_report_records_the_thread_variables_the_process_saw():
+    # the report names the BLAS thread variables as the process started
+    # with them and sets none of them itself
+    src = Path(verify.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1", KLAB_THREADS="1")
+    out = subprocess.run([sys.executable, "-c",
+                          THREADS_REPORT.format(argv=DECIDE)], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    doc = json.loads("\n".join(lines[1:-1]))
+    assert doc["params"]["threads"] == {"OMP_NUM_THREADS": None,
+                                        "OPENBLAS_NUM_THREADS": "1",
+                                        "MKL_NUM_THREADS": None}
+    assert json.loads(lines[-1]) is None
 
 
 def test_norm_rloc_localized(capsys):

@@ -1,5 +1,5 @@
-"""Every module of the package uses what it imports, and importing the
-package loads no scipy.
+"""Every module of the package, the tests and the tools uses what it
+imports, and importing the package loads no scipy.
 
 Stdlib-only checks (ast, subprocess), so they run where no linter is
 installed.  The package's __init__ is left out of the unused-import check:
@@ -14,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "klab"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "klab"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py"))
+           + sorted((ROOT / "tools").glob("*.py")))
 
 
 def unused_imports(path):

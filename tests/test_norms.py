@@ -11,12 +11,12 @@ from klab.errors import Unsupported
 from klab.geometry import (ModelDomain, PartitionOfUnity,
                            regularized_distance, whitney_cover)
 from klab.jets import multi_indices
-from klab.norms import (DIVERGENT, FINITE, INCONCLUSIVE, SpaceParams,
-                        classify_radial_integral, kondratiev_norm,
-                        kondratiev_piece_power, kondratiev_sharp_norm,
+from klab.norms import (DIVERGENT, FINITE, SpaceParams,
+                        classify_radial_integral, cover_norms,
+                        kondratiev_piece_power, kondratiev_terms,
                         multiply_by_rho_power, radial_reference_integral,
-                        rloc_norm_localized, rloc_norm_weighted,
-                        sobolev_norm, weighted_lp_norm)
+                        rloc_norm_localized, rloc_weighted_terms, sharp_terms,
+                        sobolev_terms, weighted_lp_terms)
 from klab.testfns import kondratiev_membership, make_test_function
 
 
@@ -48,7 +48,7 @@ def reference_lp_power(u, w_exp, p, eps=2.0 ** -12, R_out=2.2):
 
 def test_weighted_l2_matches_polar_reference(dom, cover):
     u = make_test_function(1.0, 0.0, 1.0, dom)
-    nv = weighted_lp_norm(u, 0.0, 2.0, cover, oracle_member=True)
+    nv, = cover_norms([weighted_lp_terms(u, 0.0, 2.0)], cover, oracles=[True])
     ref, _ = reference_lp_power(u, 0.0, 2.0)
     assert nv.value ** 2 == pytest.approx(ref, rel=1e-6)
     assert nv.classification == FINITE
@@ -56,7 +56,8 @@ def test_weighted_l2_matches_polar_reference(dom, cover):
 
 def test_weighted_norm_with_negative_weight(dom, cover):
     u = make_test_function(1.5, 0.0, 1.0, dom)
-    nv = weighted_lp_norm(u, -1.0, 2.0, cover, oracle_member=True)
+    nv, = cover_norms([weighted_lp_terms(u, -1.0, 2.0)], cover,
+                      oracles=[True])
     ref, _ = reference_lp_power(u, -1.0, 2.0)
     assert nv.value ** 2 == pytest.approx(ref, rel=1e-6)
 
@@ -65,7 +66,8 @@ def test_divergent_classification_requires_oracle(dom, cover):
     # rho^0.2 with weight -1 at p=2: exponent (0.2-1)*2+2 = 0.4 > 0 finite;
     # weight -1.3 gives exponent -0.2 < 0 divergent
     u = make_test_function(0.2, 0.0, 1.0, dom)
-    nv = weighted_lp_norm(u, -1.3, 2.0, cover, oracle_member=False)
+    nv, = cover_norms([weighted_lp_terms(u, -1.3, 2.0)], cover,
+                      oracles=[False])
     assert nv.classification == DIVERGENT
     assert nv.truncations[-1][1] > nv.truncations[0][1]
 
@@ -75,14 +77,15 @@ def test_kondratiev_norm_classification_matches_oracle(dom, cover):
     for beta, member in ((1.0, True), (0.2, True), (-0.6, False)):
         u = make_test_function(beta, 0.0, 1.0, dom)
         assert kondratiev_membership(u, 1, 0.5, 2.0).member is member
-        nv = kondratiev_norm(u, params, cover, oracle_member=member)
+        nv, = cover_norms([kondratiev_terms(u, params)], cover,
+                          oracles=[member])
         assert (nv.classification == FINITE) is member
 
 
 def test_kondratiev_norm_monotone_in_truncation(dom, cover):
     u = make_test_function(1.0, 0.0, 1.0, dom)
     params = SpaceParams(m=1, a=0.0, p=2.0, d=2, ell=0)
-    nv = kondratiev_norm(u, params, cover)
+    nv, = cover_norms([kondratiev_terms(u, params)], cover)
     vals = [v for _, v in nv.truncations]
     assert all(vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1))
 
@@ -92,7 +95,7 @@ def _per_level_ladder(cover, integrand, nodes):
     ladder, running = [], 0.0
     for j in sorted(cover.levels):
         pts, wts = norms.level_nodes(cover, j, nodes)
-        running += float(np.sum(integrand(pts) * wts)) if wts.size else 0.0
+        running += float(np.sum(integrand(pts)[0] * wts)) if wts.size else 0.0
         if j >= norms.TRUNCATION_K_MIN:
             ladder.append((2.0 ** -j, running))
     return ladder
@@ -111,27 +114,27 @@ def test_integral_ladder_equals_per_level_sums(monkeypatch):
         jet = u.jet(x, order=1)
         rho = regularized_distance(x, cov.domain)
         return sum(rho ** (2 * sum(al) - 1) * jet.derivative(al) ** 2
-                   for al in multi_indices(2, 1))
+                   for al in multi_indices(2, 1))[None]
 
     def second(x):
-        return np.abs(u(x)) ** 1.5
+        return np.abs(u(x))[None] ** 1.5
 
     want = _per_level_ladder(cov, integrand, 4)
     sizes.clear()
     monkeypatch.setattr(norms, "SLICE_NODES", 3 * 16)
     got = norms.integral_ladder(cov, integrand, 4)
-    assert got == want
+    assert got == [want]
     total = 16 * sum(len(ks) for ks in cov.levels.values())
     assert sizes[:-1] == [48] * (total // 48) and sum(sizes) == total
     # an integrand of two rows gives the two one-row ladders, bit for bit
     rows = norms.integral_ladder(
-        cov, lambda x: np.stack([integrand(x), second(x)]), 4)
-    assert rows == [got, norms.integral_ladder(cov, second, 4)]
+        cov, lambda x: np.concatenate([integrand(x), second(x)]), 4)
+    assert rows == got + norms.integral_ladder(cov, second, 4)
 
 
 def test_cover_norms_equal_one_norm_each(monkeypatch):
     # one pass with one jet per slice at the highest order (2) gives every
-    # norm bit for bit as its own ladder does, the order-0 and the
+    # norm bit for bit as a pass of its own does, the order-0 and the
     # rho^{m-a} u terms included; 3,000-node slices split the levels
     dom = ModelDomain(3, 1)
     cov = whitney_cover(dom, ((-1,) * 3, (1,) * 3), 5)
@@ -139,16 +142,12 @@ def test_cover_norms_equal_one_norm_each(monkeypatch):
     params = SpaceParams(m=2, a=0.5, p=2.0, d=3, ell=1, tau=1.5)
     monkeypatch.setattr(norms, "SLICE_NODES", 3000)
     # the lowest orders come first, so u's jet order is their maximum
-    norms_and_calls = [
-        (norms.weighted_lp_terms(u, 0.0, 2.0),
-         weighted_lp_norm(u, 0.0, 2.0, cov, 2)),
-        (norms.sobolev_terms(u, 1, 3.0), sobolev_norm(u, 1, 3.0, cov, 2)),
-        (norms.kondratiev_terms(u, params), kondratiev_norm(u, params, cov, 2)),
-        (norms.rloc_weighted_terms(u, params),
-         rloc_norm_weighted(u, params, cov, 2)),
-        (norms.sharp_terms(u, params), kondratiev_sharp_norm(u, params, cov, 2))]
-    got = norms.cover_norms([t for t, _ in norms_and_calls], cov, 2)
-    for nv, (_, want) in zip(got, norms_and_calls, strict=True):
+    each = [weighted_lp_terms(u, 0.0, 2.0), sobolev_terms(u, 1, 3.0),
+            kondratiev_terms(u, params), rloc_weighted_terms(u, params),
+            sharp_terms(u, params)]
+    got = cover_norms(each, cov, 2)
+    for nv, terms in zip(got, each, strict=True):
+        want, = cover_norms([terms], cov, 2)
         assert nv.truncations == want.truncations
         assert nv.classification == want.classification
 
@@ -157,9 +156,9 @@ def test_integral_ladder_split_levels_match_whole(dom, cover, monkeypatch):
     # 3,072 nodes per level; 1,000-node slices split each level
     u = make_test_function(1.2, 0.0, 1.0, dom)
     params = SpaceParams(m=2, a=0.5, p=2.0, d=2, ell=0)
-    whole = kondratiev_norm(u, params, cover).truncations
+    whole = cover_norms([kondratiev_terms(u, params)], cover)[0].truncations
     monkeypatch.setattr(norms, "SLICE_NODES", 1000)
-    split = kondratiev_norm(u, params, cover).truncations
+    split = cover_norms([kondratiev_terms(u, params)], cover)[0].truncations
     assert [e for e, _ in split] == [e for e, _ in whole]
     assert [v for _, v in split] == pytest.approx([v for _, v in whole],
                                                   rel=1e-15)
@@ -168,16 +167,16 @@ def test_integral_ladder_split_levels_match_whole(dom, cover, monkeypatch):
 def test_sobolev_norm_of_smooth_bump(dom, cover):
     # the plateau cutoff is smooth: W^1_2 norm is finite and stable
     u = make_test_function(0.0, 0.0, 1.0, dom)
-    nv8 = sobolev_norm(u, 1, 2.0, cover, 8)
-    nv12 = sobolev_norm(u, 1, 2.0, cover, 12)
+    nv8, = cover_norms([sobolev_terms(u, 1, 2.0)], cover, 8)
+    nv12, = cover_norms([sobolev_terms(u, 1, 2.0)], cover, 12)
     assert nv8.value == pytest.approx(nv12.value, rel=1e-6)
 
 
 def test_sharp_norm_equivalent(dom, cover):
     params = SpaceParams(m=1, a=0.5, p=2.0, d=2, ell=0)
     u = make_test_function(1.2, 0.0, 1.0, dom)
-    sharp = kondratiev_sharp_norm(u, params, cover)
-    full = kondratiev_norm(u, params, cover)
+    sharp, full = cover_norms([sharp_terms(u, params),
+                               kondratiev_terms(u, params)], cover)
     assert 0.02 < sharp.value / full.value < 50
 
 
@@ -185,9 +184,9 @@ def test_rho_power_multiplication(dom, cover):
     # || rho^{-0.5} u ||_{L_2, weight 0} == || u ||_{L_2, weight -0.5}
     u = make_test_function(1.2, 0.0, 1.0, dom)
     v = multiply_by_rho_power(u, -0.5)
-    a = weighted_lp_norm(v, 0.0, 2.0, cover).value
-    b = weighted_lp_norm(u, -0.5, 2.0, cover).value
-    assert a == pytest.approx(b, rel=1e-10)
+    a, b = cover_norms([weighted_lp_terms(v, 0.0, 2.0),
+                        weighted_lp_terms(u, -0.5, 2.0)], cover)
+    assert a.value == pytest.approx(b.value, rel=1e-10)
 
 
 def test_rloc_weighted_vs_localized(dom):
@@ -195,7 +194,7 @@ def test_rloc_weighted_vs_localized(dom):
     pou = PartitionOfUnity(cov)
     params = SpaceParams(m=1, a=1.0, p=2.0, d=2, ell=0, tau=2.0)
     u = make_test_function(1.0, 0.0, 1.0, dom)
-    w = rloc_norm_weighted(u, params, cov)
+    w, = cover_norms([rloc_weighted_terms(u, params)], cov)
     loc = rloc_norm_localized(u, params, cov, pou)
     assert 1 / 50 < loc.value / w.value < 50
 
@@ -214,7 +213,7 @@ def test_piece_powers_sum_to_global(dom):
     pou = PartitionOfUnity(cov)
     u = make_test_function(1.0, 0.0, 1.0, dom)
     params = SpaceParams(m=1, a=0.5, p=2.0, d=2, ell=0)
-    glob = kondratiev_norm(u, params, cov).value ** 2
+    glob = cover_norms([kondratiev_terms(u, params)], cov)[0].value ** 2
     total = sum(kondratiev_piece_power(u, pou, j, ks, 1, 0.5, 2.0)
                 for j, ks in cov.levels.items() if len(ks))
     assert 1 / 50 < glob / total < 50

@@ -5,14 +5,14 @@ import pytest
 
 from klab import norms, testfns
 from klab.errors import EmptyFamily, InvalidParams
-from klab.geometry import ModelDomain, PartitionOfUnity, whitney_cover
+from klab.geometry import ModelDomain, PartitionOfUnity
 from klab.norms import SpaceParams
 from klab.testfns import make_test_function
 from klab.verify import (DIFFEO_CATALOG, EXPERIMENTS, check_classification_grid,
                          check_cone_localization,
                          check_counterexample_divergence,
                          check_derivative_mapping, check_diffeo_invariance,
-                         check_embedding_ratio,
+                         check_dual_route, check_embedding_ratio,
                          check_localization, check_norm_equivalence_Kmm,
                          check_partition_diagnostics,
                          check_rho_power_isomorphism, check_scaling_homogeneity,
@@ -76,6 +76,21 @@ def test_one_jet_per_slice_for_all_norms_of_a_member(dom, monkeypatch):
     params = SpaceParams(m=2, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
     check_embedding_ratio(params, [u], cover=cover, J=5, nodes_per_dim=4)
     assert len(calls) == slices
+
+
+def test_dual_route_takes_all_cover_norms_from_one_pass(monkeypatch):
+    # the Sobolev norms of every kept member of the default family and the
+    # cutoff's L_2 norm come from one integral ladder
+    ladder, calls = norms.integral_ladder, []
+
+    def counted_ladder(*args, **kwargs):
+        calls.append(1)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "integral_ladder", counted_ladder)
+    report = check_dual_route(J=4, j_max=5, nodes_per_dim=2, parseval_J=4)
+    assert len(report.ratios) > 1
+    assert len(calls) == 1
 
 
 def test_sharp_norm(fam, dom, cover):

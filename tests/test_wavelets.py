@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from klab import wavelets
 from klab.errors import InvalidParams, Unsupported
