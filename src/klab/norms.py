@@ -233,11 +233,13 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
     (sum_{lo <= |alpha| <= hi} int density(rho, alpha, d^alpha u))^{1/p}.
     Each u gets one jet per slice, at the highest order its terms need.
     """
+    if not norms:
+        return []
     terms = [t for norm in norms for t in norm]
     order = {}
     for u, _, hi, _, _ in terms:
         order[u] = max(order.get(u, 0), hi)
-    alphas = multi_indices(len(cover.box[0]), max(order.values(), default=0))
+    alphas = multi_indices(len(cover.box[0]), max(order.values()))
 
     def integrand(x):
         jets = {u: u.jet(x, order=k) for u, k in order.items()}

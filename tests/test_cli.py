@@ -10,12 +10,11 @@ import sys
 from importlib import metadata
 from pathlib import Path
 
-from klab import verify
-from klab.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_OK, EXIT_UNDETERMINED,
-                      main)
 import pytest
 
-from klab import norms
+from klab import norms, verify
+from klab.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_OK, EXIT_UNDETERMINED,
+                      main)
 from klab.geometry import ModelDomain, PartitionOfUnity, whitney_cover
 from klab.norms import SpaceParams
 from klab.testfns import make_test_function
@@ -131,10 +130,10 @@ def test_norm_subcommand(capsys):
 # each cover kind of `klab norm`: its terms, and whether the Kondratiev
 # membership oracle classifies it
 NORM_KINDS = {
-    "kondratiev": (lambda u, q: norms.kondratiev_terms(u, q), True),
+    "kondratiev": (norms.kondratiev_terms, True),
     "sobolev": (lambda u, q: norms.sobolev_terms(u, q.m, q.p), False),
-    "sharp": (lambda u, q: norms.sharp_terms(u, q), False),
-    "rloc-weighted": (lambda u, q: norms.rloc_weighted_terms(u, q), False),
+    "sharp": (norms.sharp_terms, False),
+    "rloc-weighted": (norms.rloc_weighted_terms, False),
 }
 
 

@@ -120,6 +120,8 @@ def test_empty_family_raises(dom, cover):
     bad = default_family(dom, betas=(-3.0,), lambdas=(0.0,))
     with pytest.raises(EmptyFamily):
         check_norm_equivalence_Kmm(bad, 1, 2.0, dom, cover)
+    with pytest.raises(EmptyFamily):
+        check_localization(bad, 1, 0.5, 2.0, cover, PartitionOfUnity(cover))
 
 
 def test_divergence_log_case():
