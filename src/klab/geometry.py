@@ -220,16 +220,6 @@ class PartitionOfUnity:
             out = ji if out is None else out * ji
         return out
 
-    def bump(self, j, k, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = np.asarray(k, dtype=float)
-        if k.ndim == 1:
-            k = k[:, None]
-        val = np.ones(x.shape[1])
-        for i in range(self.d):
-            val = val * BUMP(2.0 ** j * x[i] - k[i])
-        return val
-
     def _neighbor_batches(self, x):
         """Yield (j, k_array (d, m), point_indices (m,)) for all cover cubes
         whose doubled cube contains the respective point."""
@@ -273,7 +263,7 @@ class PartitionOfUnity:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         count = np.zeros(x.shape[1], dtype=int)
         for j, kk, ixs in self._neighbor_batches(x):
-            vals = self.bump(j, kk, x[:, ixs])
+            vals = self.bump_jet(j, kk, x[:, ixs], order=0).value
             count[ixs] += (vals != 0.0).astype(int)
         return count
 

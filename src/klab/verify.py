@@ -29,6 +29,8 @@ SPREAD_SAME_INTEGRABILITY = 50.0
 SPREAD_CROSS_INTEGRABILITY = 100.0
 DEFAULT_BETAS = (0.2, 0.5, 0.8, 1.2, 1.6, 2.0, 2.5)
 DEFAULT_LAMBDAS = (0.0, -0.7)
+FAMILY_R = 1.0             # cutoff radius R of the test functions
+DIVERGENCE_K = range(4, 17)    # the divergence ladder's eps = 2^-k
 SCALING_TOL = 1e-10        # relative error bound of the dilation identity
 
 
@@ -224,9 +226,8 @@ REPORT_TYPES = {cls.__name__: cls for cls in (
 # Families, covers, wrappers
 # ---------------------------------------------------------------------------
 
-def default_family(domain, betas=DEFAULT_BETAS, lambdas=DEFAULT_LAMBDAS,
-                   R=1.0):
-    return [make_test_function(b, l, R, domain)
+def default_family(domain, betas=DEFAULT_BETAS, lambdas=DEFAULT_LAMBDAS):
+    return [make_test_function(b, l, FAMILY_R, domain)
             for b in betas for l in lambdas]
 
 
@@ -285,23 +286,6 @@ class PulledBackFunction:
                     acc = acc + coords[jj] * self.matrix[i, jj]
             ycoords.append(acc)
         return self.u.jet_from_coords(ycoords)
-
-
-class ScaledFunction:
-    """u(2^k x); dyadic arguments and derivative factors are float-exact."""
-
-    def __init__(self, u, k):
-        self.u = u
-        self.k = int(k)
-
-    def jet(self, x, order):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        jet = self.u.jet(x * 2.0 ** self.k, order)
-        from .jets import multi_indices
-        coeffs = [c * 2.0 ** (self.k * sum(al))
-                  for c, al in zip(jet.coeffs, multi_indices(jet.dim,
-                                                             jet.order))]
-        return Jet(jet.dim, jet.order, coeffs)
 
 
 class WindowedFunction:
@@ -495,8 +479,7 @@ def _fit_growth(xs, ys, predicted):
     return float(popt[2]), residual
 
 
-def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
-                                    k_range=range(4, 17)):
+def check_counterexample_divergence(m, a, p, tau, d, delta, lam):
     """Sharpness at the critical line via the exact 1D radial reduction.
 
     u_lam = rho^{m - (d-delta)/tau} (1 + |log rho|)^lam: the truncated power
@@ -512,8 +495,8 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
     verdict = classify_radial_exponent(e_t, g)
     notes = {"beta": beta, "radialExponent": e, "logPower": g,
              "critical": verdict.boundary_case}
-    ladder = [(2.0 ** -k, radial_reference_integral(e, g, R, 2.0 ** -k))
-              for k in k_range]
+    ladder = [(2.0 ** -k, radial_reference_integral(e, g, FAMILY_R, 2.0 ** -k))
+              for k in DIVERGENCE_K]
     eps = np.array([x for x, _ in ladder])
     vals = np.array([y for _, y in ladder])
     if verdict.member:
@@ -542,7 +525,7 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam, R=1.0,
     cauchy = False
     if member:
         # one quad per shell: see radial_reference_integral's accurate range
-        rungs, power, top = [], 0.0, R
+        rungs, power, top = [], 0.0, FAMILY_R
         for k in range(4, 200, 4):
             power += radial_reference_integral(ek, gk, top, 2.0 ** -k)
             top = 2.0 ** -k
@@ -659,7 +642,7 @@ def check_scaling_homogeneity(u, m, p, k, cover=None,
     domain = u.domain
     cover = cover or standard_cover(domain)
     d = domain.d
-    uk = ScaledFunction(u, k)
+    uk = PulledBackFunction(u, 2.0 ** k * np.eye(d))
     top = [al for al in multi_indices(d, m) if sum(al) == m]
     rhs = 0.0
     lhs = 0.0
@@ -735,7 +718,8 @@ def check_partition_diagnostics(domain, box=None, j_max=8, n_points=10000,
     total = np.zeros(pts.shape[1])
     safe = np.where(covered, psi, 1.0)
     for j, kk, ixs in pou._neighbor_batches(pts):
-        total[ixs] += pou.bump(j, kk, pts[:, ixs]) / safe[ixs]
+        total[ixs] += pou.bump_jet(j, kk, pts[:, ixs], order=0).value \
+            / safe[ixs]
     sums = np.where(covered, total, 1.0)
     sum_err = float(np.max(np.abs(sums[covered] - 1.0))) if covered.any() \
         else 0.0

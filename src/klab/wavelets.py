@@ -190,7 +190,8 @@ class CoefficientGrid:
 
     levels[j][gender] = (origin, array) with gender a string over {A, D} of
     length d ('A' = scaling direction); level 0 carries the pure-scaling band
-    'A'*d in addition to the wavelet genders.
+    'A'*d in addition to the wavelet genders.  The bands of one level share
+    one origin and are views of one array.
     """
 
     d: int
@@ -208,34 +209,31 @@ class CoefficientGrid:
                 for j, bands in self.levels.items()}
 
 
-def _analyze_axis(arr, origin, filt, axis):
-    """Decimated correlation a_k = sum_m filt_m A_{m+2k} along one axis.
+def _analyze_axis(arr, origin, bank, axis):
+    """Decimated correlations a_{k,i} = sum_m bank_{m,i} A_{m+2k} along one
+    axis, for every filter (column i) of the (F, r) bank at once.
 
     `origin` is the integer index of the first entry along that axis; A is
     zero outside the array.  Only the kept (every second) outputs are
-    computed: with A padded by F - 1 zeros on both sides,
-    a = sum_m filt_m A_padded[t0+m :: 2], F terms and no full convolution.
-    Returns (output array, output origin).
+    computed: A is padded by F - 1 zeros on both sides, and each kept window
+    of F entries along the axis is multiplied by the bank, one matrix
+    product for all r filters.  Returns (output array, output origin); the
+    output has a new last axis of length r, one entry per filter.
     """
-    F = len(filt)
+    F = len(bank)
     L = arr.shape[axis]
     k0 = -(-(origin - F + 1) // 2)               # ceil division
     t0 = 2 * k0 - origin + F - 1                 # 0 or 1
     n = (L + F - t0) // 2                        # outputs k0 .. k0 + n - 1
     widths = [(0, 0)] * arr.ndim
     widths[axis] = (F - 1, F - 1)
-    padded = np.pad(arr, widths)
-    shape = list(arr.shape)
-    shape[axis] = n
-    out = np.zeros(shape)
+    windows = sliding_window_view(np.pad(arr, widths), F, axis=axis)
     sl = [slice(None)] * arr.ndim
-    for m in range(F):
-        sl[axis] = slice(t0 + m, t0 + m + 2 * n - 1, 2)
-        out += filt[m] * padded[tuple(sl)]
-    return out, k0
+    sl[axis] = slice(t0, t0 + 2 * n - 1, 2)
+    return windows[tuple(sl)] @ bank, k0
 
 
-def wavelet_coefficients(u, system, J, box, d=None, projection="sample"):
+def wavelet_coefficients(u, system, J, box, projection="sample"):
     """Analysis transform of u on the given box down from level J.
 
     projection="sample": initial level-J scaling coefficients by one-point
@@ -243,12 +241,16 @@ def wavelet_coefficients(u, system, J, box, d=None, projection="sample"):
     (second-order accurate for smooth u).  projection="table": composite
     quadrature of u against the cascade table (d = 1 only); exact up to the
     table resolution, used for orthonormality experiments.
+
+    Each level is d passes of `_analyze_axis` with the bank (h, g) over one
+    array: pass i appends a gender axis (0 = 'A', 1 = 'D') for axis i, so
+    after d passes the 2^d bands are the slices [..., g_0, ..., g_{d-1}] of
+    one stack and share one origin.  The band 'A'*d feeds the next level.
     """
     if J > MAX_LEVEL:
         raise Unsupported(f"J capped at {MAX_LEVEL} by the cascade resolution")
     lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
-    if d is None:
-        d = len(lo)
+    d = len(lo)
     F = len(system.filter)
     k_lo = np.floor(lo * 2 ** J).astype(int) - (F - 1)
     k_hi = np.ceil(hi * 2 ** J).astype(int) + 1
@@ -256,15 +258,15 @@ def wavelet_coefficients(u, system, J, box, d=None, projection="sample"):
     if projection == "sample":
         axes = [(np.arange(k_lo[i], k_hi[i]) + system.first_moment)
                 * 2.0 ** -J for i in range(d)]
-        data = np.empty(shape)
+        arr = np.empty(shape)
         chunk = max(1, 2 ** 19 // max(1, int(np.prod(shape[1:]))))
         for r0 in range(0, shape[0], chunk):
             r1 = min(r0 + chunk, shape[0])
             grids = np.meshgrid(axes[0][r0:r1], *axes[1:], indexing="ij")
             pts = np.stack([g.ravel() for g in grids])
-            data[r0:r1] = np.asarray(u(pts), dtype=float).reshape(
+            arr[r0:r1] = np.asarray(u(pts), dtype=float).reshape(
                 (r1 - r0,) + shape[1:])
-        data *= 2.0 ** (-J * d / 2.0)
+        arr *= 2.0 ** (-J * d / 2.0)
     elif projection == "table":
         if d != 1:
             raise Unsupported("table projection implemented for d = 1")
@@ -276,32 +278,23 @@ def wavelet_coefficients(u, system, J, box, d=None, projection="sample"):
         xs = np.arange(n0, n1 + 1) * 2.0 ** -(CASCADE_K + J)
         samples = np.asarray(u(xs[None, :]), dtype=float).ravel()
         windows = sliding_window_view(samples, len(system.phi_table))
-        data = windows[::stride][:shape[0]] @ system.phi_table \
+        arr = windows[::stride][:shape[0]] @ system.phi_table \
             * 2.0 ** -CASCADE_K * 2.0 ** (-J / 2.0)
     else:
         raise InvalidParams("projection must be 'sample' or 'table'")
 
+    bank = np.stack([system.filter, system.gfilter], 1)
     grid = CoefficientGrid(d=d, J=J)
-    arr, origin = data, tuple(int(v) for v in k_lo)
+    origin = [int(v) for v in k_lo]
     for j in range(J, 0, -1):
-        bands = {}
-        cur = {"": (arr, origin)}
         for axis in range(d):
-            nxt = {}
-            for g, (A, o) in cur.items():
-                lowA, o_low = _analyze_axis(A, o[axis], system.filter, axis)
-                highA, o_high = _analyze_axis(A, o[axis], system.gfilter, axis)
-                nxt[g + "A"] = (lowA, o[:axis] + (o_low,) + o[axis + 1:])
-                nxt[g + "D"] = (highA, o[:axis] + (o_high,) + o[axis + 1:])
-            cur = nxt
-        for g, (A, o) in cur.items():
-            if g == "A" * d:
-                arr, origin = A, o
-            else:
-                bands[g] = (o, A)
+            arr, origin[axis] = _analyze_axis(arr, origin[axis], bank, axis)
+        o = tuple(origin)
+        bands = {"".join("AD"[i] for i in g): (o, arr[(...,) + g])
+                 for g in np.ndindex((2,) * d)}
+        arr = bands.pop("A" * d)[1]
         grid.levels[j - 1] = bands               # analysis of level-j scaling
-    grid.levels[0] = dict(grid.levels.get(0, {}))
-    grid.levels[0]["A" * d] = (origin, arr)
+    grid.levels.setdefault(0, {})["A" * d] = (tuple(origin), arr)
     return grid
 
 

@@ -1,5 +1,6 @@
 """Orthonormal wavelet systems, coefficient grids, and sequence norms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -222,18 +223,72 @@ def decimated_correlation_reference(arr, origin, filt, axis):
                                    (3, 1, 8), (5, 7, 4)])
 def test_analyze_axis_matches_full_convolution(order, shape):
     system = build_wavelet_system(order)
+    filters = (system.filter, system.gfilter)
+    bank = np.stack(filters, 1)
     rng = np.random.default_rng(len(shape) * 100 + sum(shape))
     arr = rng.standard_normal(shape)             # most shorter than F
-    for filt in (system.filter, system.gfilter):
-        for axis in range(len(shape)):
-            for origin in (-7, -4, -1, 0, 3, 6):
-                got, k0 = wavelets._analyze_axis(arr, origin, filt, axis)
+    for axis in range(len(shape)):
+        for origin in (-7, -4, -1, 0, 3, 6):
+            got, k0 = wavelets._analyze_axis(arr, origin, bank, axis)
+            assert got.shape[-1] == len(filters)
+            for i, filt in enumerate(filters):
                 want, w0 = decimated_correlation_reference(arr, origin, filt,
                                                            axis)
                 assert k0 == w0
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) \
+                assert got[..., i].shape == want.shape
+                assert np.max(np.abs(got[..., i] - want)) \
                     <= 1e-14 * np.max(np.abs(want))
+
+
+def capture_first_analysis(monkeypatch):
+    """Record the (array, origin) of the first `_analyze_axis` call: the
+    level-J scaling coefficients and the origin along axis 0."""
+    seen = []
+    analyze = wavelets._analyze_axis
+
+    def first_input(arr, origin, bank, axis):
+        if not seen:
+            seen.append((arr.copy(), origin))
+        return analyze(arr, origin, bank, axis)
+
+    monkeypatch.setattr(wavelets, "_analyze_axis", first_input)
+    return seen
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_gender_bands_compose_axis_by_axis(monkeypatch, m, d):
+    # band G of a level is the decimated correlation along axis i with h
+    # where G_i = 'A' and with g where G_i = 'D'; u is not symmetric under
+    # swapping axes, so a band filed under the wrong gender fails
+    system = build_wavelet_system(m)
+    filters = {"A": system.filter, "D": system.gfilter}
+
+    def u(x):
+        return np.exp(-np.sum(x ** 2, axis=0)) * (1.0 + np.arange(1, d + 1)
+                                                 @ x)
+
+    seen = capture_first_analysis(monkeypatch)
+    J = 2
+    grid = wavelet_coefficients(u, system, J, ((-1.0,) * d, (1.0,) * d))
+    data, o0 = seen[0]
+    # rounding scales with the input; detail bands of a smooth u are small
+    # by cancellation
+    tol = 1e-14 * np.max(np.abs(data))
+    bands = grid.levels[J - 1]
+    assert list(bands) == ["".join(g) for g in itertools.product("AD",
+                                                                 repeat=d)][1:]
+    for gender, (origin, got) in bands.items():
+        want, o = data, [o0] * d                 # the box is a cube
+        for axis, c in enumerate(gender):
+            want, o[axis] = decimated_correlation_reference(
+                want, o[axis], filters[c], axis)
+        assert origin == tuple(o)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol
+        swapped = gender[::-1]
+        if swapped != gender:
+            assert np.max(np.abs(bands[swapped][1] - want)) > 1e3 * tol
 
 
 def test_table_projection_is_per_k_dot_product(sys1, monkeypatch):
@@ -242,15 +297,7 @@ def test_table_projection_is_per_k_dot_product(sys1, monkeypatch):
     def u(x):
         return np.exp(-3.0 * x[0] ** 2) * (1.0 + x[0])
 
-    seen = []
-    analyze = wavelets._analyze_axis
-
-    def first_input(arr, origin, filt, axis):
-        if not seen:
-            seen.append((arr.copy(), origin))
-        return analyze(arr, origin, filt, axis)
-
-    monkeypatch.setattr(wavelets, "_analyze_axis", first_input)
+    seen = capture_first_analysis(monkeypatch)
     J = 3
     wavelet_coefficients(u, sys1, J, ((-1.0,), (1.0,)), projection="table")
     data, k_lo = seen[0]
