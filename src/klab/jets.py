@@ -6,6 +6,14 @@ coefficient slots are numpy arrays of a common shape, so a single jet
 evaluates a whole batch of points at once.  Composition with univariate
 outer functions (powers, log, piecewise polynomials) is done by truncated
 series substitution, which is exact at the carried order.
+
+A jet is an immutable value.  Its slot arrays may be shared with other
+jets, with the caller's points and with the outer derivative arrays handed
+to :meth:`Jet.compose`, so no operation copies an operand.  The rule that
+makes the sharing safe: an operation writes in place only into arrays it
+allocated itself (the accumulators of ``__mul__``, the totals of
+``PartitionOfUnity.psi_jet``).  At order 0 every operation reduces to the
+elementwise numpy expression on the values.
 """
 
 from functools import lru_cache
@@ -59,18 +67,16 @@ class Jet:
     # -- constructors ---------------------------------------------------
     @classmethod
     def constant(cls, value, dim, order, shape=()):
-        idx = multi_indices(dim, order)
-        coeffs = [np.zeros(shape) for _ in idx]
-        coeffs[0] = np.broadcast_to(np.asarray(value, dtype=float), shape).copy() \
-            if shape else np.asarray(value, dtype=float)
+        coeffs = [np.zeros(shape) for _ in multi_indices(dim, order)]
+        coeffs[0] += value
         return cls(dim, order, coeffs)
 
     @classmethod
     def variable(cls, values, i, dim, order):
         values = np.asarray(values, dtype=float)
         idx = multi_indices(dim, order)
-        coeffs = [np.zeros(values.shape) for _ in idx]
-        coeffs[0] = values.copy()
+        zero = np.zeros(values.shape)
+        coeffs = [values] + [zero] * (len(idx) - 1)
         if order >= 1:
             unit = tuple(1 if j == i else 0 for j in range(dim))
             coeffs[idx.index(unit)] = np.ones(values.shape)
@@ -94,9 +100,6 @@ class Jet:
         fac = float(np.prod([factorial(k) for k in alpha]))
         return self.coeffs[idx.index(tuple(alpha))] * fac
 
-    def copy(self):
-        return Jet(self.dim, self.order, [c.copy() for c in self.coeffs])
-
     def derivative_jet(self, alpha):
         """Jet of d^alpha f, of order self.order - |alpha|.
 
@@ -118,14 +121,10 @@ class Jet:
         return Jet(self.dim, new_order, coeffs)
 
     # -- arithmetic -------------------------------------------------------
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        shape = np.shape(self.coeffs[0])
-        return Jet.constant(other, self.dim, self.order, shape)
-
     def __add__(self, other):
-        other = self._lift(other)
+        if not isinstance(other, Jet):
+            return Jet(self.dim, self.order,
+                       [self.coeffs[0] + other] + self.coeffs[1:])
         return Jet(self.dim, self.order,
                    [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -135,17 +134,15 @@ class Jet:
         return Jet(self.dim, self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.dim, self.order, [a * other for a in self.coeffs])
-        table = _mul_table(self.dim, self.order)
-        shape = np.broadcast_shapes(np.shape(self.coeffs[0]),
-                                    np.shape(other.coeffs[0]))
-        out = [np.zeros(shape) for _ in self.coeffs]
         a, b = self.coeffs, other.coeffs
-        for i, j, k in table:
+        # the table opens with the pairs (0, k, k), which seed the slots
+        out = [a[0] * bk for bk in b]
+        for i, j, k in _mul_table(self.dim, self.order)[len(b):]:
             out[k] += a[i] * b[j]
         return Jet(self.dim, self.order, out)
 
@@ -161,22 +158,18 @@ class Jet:
         """Substitute this jet into an outer univariate function.
 
         `outer_derivs[k]` must hold the k-th derivative of the outer
-        function evaluated at `self.value`, for k = 0..order.
+        function evaluated at `self.value`, for k = 0..order.  With
+        delta = self - self.value, the result is Horner's rule
+        g_0 + delta (g_1 + delta (g_2 + ... + delta g_n)), g_k =
+        outer_derivs[k] / k!; delta has no constant term, so the result's
+        value is g_0 itself.
         """
         n = self.order
-        delta = self.copy()
-        delta.coeffs[0] = np.zeros_like(delta.coeffs[0])
-        shape = np.broadcast_shapes(np.shape(self.coeffs[0]),
-                                    np.shape(outer_derivs[0]))
-        result = Jet.constant(0.0, self.dim, n, shape)
-        result.coeffs[0] = result.coeffs[0] + outer_derivs[0]
-        power = None
-        for k in range(1, n + 1):
-            power = delta if power is None else power * delta
-            gk = np.asarray(outer_derivs[k]) / factorial(k)
-            for m in range(len(result.coeffs)):
-                result.coeffs[m] = result.coeffs[m] + gk * power.coeffs[m]
-        return result
+        delta = Jet(self.dim, n, [0.0] + self.coeffs[1:])
+        tail = delta * (outer_derivs[n] / factorial(n))
+        for k in range(n - 1, 0, -1):
+            tail = delta * (tail + outer_derivs[k] / factorial(k))
+        return Jet(self.dim, n, [outer_derivs[0]] + tail.coeffs[1:])
 
     def reciprocal(self):
         v = self.value

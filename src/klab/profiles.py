@@ -123,9 +123,6 @@ class RadialCutoff:
             out.append(-s[k])
         return out
 
-    def __call__(self, t):
-        return self.derivs(t, order=0)[0]
-
 
 class BumpProfile:
     """Reference bump for the unit cube: 1 on [0,1], support in (-1/2, 3/2).
@@ -144,9 +141,6 @@ class BumpProfile:
             out.append(np.where(rising, up[k], -down[k]) * scale)
         return out
 
-    def __call__(self, t):
-        return self.derivs(t, order=0)[0]
-
 
 class DyadicWindow:
     """w with supp w subset (-1,1) and sum_j w(t - j) = 1 on the line."""
@@ -159,9 +153,6 @@ class DyadicWindow:
         for k in range(1, order + 1):
             out.append(up[k] - down[k])
         return out
-
-    def __call__(self, t):
-        return self.derivs(t, order=0)[0]
 
 
 CAP = DistanceCap()

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParams, Unsupported, UndeterminedByPaper
 from .geometry import regularized_distance_from_jets
-from .jets import Jet
+from .jets import Jet, norm_jet
 from .profiles import CUTOFF, MAX_ORDER
 
 BOUNDARY_TOL = 1e-12   # |critical exponent| at most this is the equality case
@@ -35,23 +35,8 @@ class MembershipVerdict:
 
 
 def _radial_cutoff_jet(coords, R):
-    """Jet of zeta(|x| / R) from coordinate jets.
-
-    Points sitting exactly at the origin lie in the plateau zeta = 1; the
-    squared radius is patched there so the square root stays differentiable
-    (the outer derivatives vanish on the plateau, so the patch is exact).
-    """
-    q = None
-    for c in coords:
-        cc = c * c
-        q = cc if q is None else q + cc
-    at_zero = q.value == 0.0
-    if np.any(at_zero):
-        q = Jet(q.dim, q.order, [c.copy() for c in q.coeffs])
-        q.coeffs[0][at_zero] = (R / 2.0) ** 2
-        for c in q.coeffs[1:]:
-            c[at_zero] = 0.0
-    t = q.sqrt() * (1.0 / R)
+    """Jet of zeta(|x| / R) from coordinate jets."""
+    t = norm_jet(coords) * (1.0 / R)
     return t.compose(CUTOFF.derivs(t.value, t.order))
 
 
@@ -72,13 +57,9 @@ class TestFunction:
     def jet_from_coords(self, coords):
         """Jet of u built from arbitrary coordinate jets (diffeo pullbacks)."""
         rho = regularized_distance_from_jets(coords, self.domain)
-        if self.beta != 0.0:
-            u = rho.power(self.beta)
-        else:
-            u = Jet.constant(1.0, rho.dim, rho.order, rho.value.shape)
+        u = rho.power(self.beta)
         if self.lam != 0.0:
-            one = Jet.constant(1.0, rho.dim, rho.order, rho.value.shape)
-            u = u * (one - rho.log()).power(self.lam)
+            u = u * (-rho.log() + 1.0).power(self.lam)
         return u * _radial_cutoff_jet(coords, self.R)
 
     def jet(self, x, order=MAX_ORDER):

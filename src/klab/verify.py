@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyFamily, InvalidParams
-from .geometry import (ModelDomain, PartitionOfUnity, whitney_cover)
+from .geometry import (C0_LEVEL0, PSI_FLOOR, ModelDomain, PartitionOfUnity,
+                       whitney_cover)
 from .jets import Jet, norm_jet
 from .profiles import WINDOW
 from . import norms
@@ -310,19 +311,21 @@ def _norm_values(norms, cover, nodes_per_dim):
 
 
 def _filter_family(family, oracle, reason):
+    """Members the oracle admits, and the excluded ones with the reason;
+    raises EmptyFamily when it admits none."""
     kept, excluded = [], []
     for u in family:
         if oracle(u):
             kept.append(u)
         else:
             excluded.append((u.to_json(), reason))
+    if not kept:
+        raise EmptyFamily("no admissible family members")
     return kept, excluded
 
 
 def _ratio_report(kept, excluded, num_kind, den_kind, pairs, bound,
                   notes=None):
-    if not kept:
-        raise EmptyFamily("no admissible family members")
     ratios = [n / d for n, d in pairs]
     spread = _spread(ratios)
     return RatioReport(family=[u.to_json() for u in kept],
@@ -426,10 +429,10 @@ def check_embedding_ratio(params, family, cover=None, J=10,
     verdict = decide_embedding(m, a, p, tau, domain.d, domain.ell)
     if verdict.outcome != HOLDS:
         raise InvalidParams(f"embedding does not hold: {verdict.trigger}")
-    cover = cover or standard_cover(domain)
     kept, excluded = _filter_family(
         family, lambda u: kondratiev_membership(u, m, a, p).member,
         "not in K^m_{a,p} by the exponent oracle")
+    cover = cover or standard_cover(domain)
     notes = {"verdict": verdict.to_json()}
     pairs = []
     if tau > 1:
@@ -710,7 +713,6 @@ def check_partition_diagnostics(domain, box=None, j_max=8, n_points=10000,
     hi = np.array(box[1], dtype=float)
     pts = lo + (hi - lo) * rng.random((n_points, domain.d))
     pts = pts[~np.isclose(domain.distance(pts), 0.0)].T
-    from .geometry import PSI_FLOOR
     psi = pou.psi_jet(pts, order=0).value
     covered = psi > PSI_FLOOR
     # accumulate the normalized pieces independently so that floating-point
@@ -730,7 +732,7 @@ def check_partition_diagnostics(domain, box=None, j_max=8, n_points=10000,
         h = 2.0 ** (-j)
         dist = domain.cube_distance(ks * h - 0.5 * h, ks * h + 1.5 * h)
         stored = cover.dists[j]
-        lo_c = cover.c1 * h if j >= 1 else 1.0
+        lo_c = cover.c1 * h if j >= 1 else C0_LEVEL0
         cert_ok &= bool(np.array_equal(dist, stored)
                         and np.all(stored >= lo_c))
         if j >= 1:
@@ -787,14 +789,14 @@ def check_dual_route(family=None, m=1, tau=1.5, J=9, j_max=12,
                            f_sequence_norm)
     domain = ModelDomain(2, 0)
     family = family or default_family(domain)
-    cover = standard_cover(domain, radius=3, j_max=j_max)
-    system = build_wavelet_system(m)
     kept, excluded = _filter_family(
         family,
         lambda u: f_space_membership_radial(u.beta, max(u.lam, 0.0),
                                             float(m), tau, domain.ell,
                                             domain.d).member,
         "not in F^m_{tau,2} by the radial rule")
+    cover = standard_cover(domain, radius=3, j_max=j_max)
+    system = build_wavelet_system(m)
     half = max(int(math.ceil(2 * max(u.R for u in kept))), 1)
     box = ((-float(half),) * domain.d, (float(half),) * domain.d)
     zeta = make_test_function(0.0, 0.0, 1.0, domain)

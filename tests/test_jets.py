@@ -134,3 +134,54 @@ def test_vectorized_matches_scalar_loop():
         fi = (xi * xi + 1.0).log()
         assert float(fi.derivative((3,))[0]) == pytest.approx(
             float(f.derivative((3,))[i]), rel=1e-13)
+
+
+# --- jets are immutable values: shared slots, no writes into operands ---
+
+def read_only_points(d, n, seed):
+    pts = 0.5 + np.random.default_rng(seed).random((d, n))
+    pts.setflags(write=False)
+    return pts
+
+
+def test_operations_leave_operands_unchanged():
+    pts = read_only_points(3, 9, 11)
+    x, y, z = Jet.variables(pts, 3)
+    f = x * y + z
+    g = (x * x + 1.0).sqrt()
+    operands = [x, y, z, f, g]
+    before = [[np.copy(c) for c in j.coeffs] for j in operands]
+    results = [f + g, f + 2.0, 2.0 + f, f - g, f - 0.5, -f, f * g, f * 3.0,
+               f / g, f / 4.0, g.compose([g.value ** 2, 2 * g.value,
+                                          2.0 + 0 * g.value, 0 * g.value]),
+               f.power(-1.5), f.power(0), g.log(), f.sqrt(),
+               f.derivative_jet((1, 0, 1)), norm_jet([x, y, z])]
+    for jet, old in zip(operands, before):
+        for c, c0 in zip(jet.coeffs, old):
+            assert np.array_equal(c, c0)
+    assert all(np.all(np.isfinite(c)) for r in results for c in r.coeffs)
+
+
+def test_order_zero_is_elementwise():
+    pts = read_only_points(2, 1000, 12)
+    x, y = Jet.variables(pts, 0)
+    a, b = pts
+    assert np.array_equal((x * y).value, a * b)
+    assert np.array_equal((x + y).value, a + b)
+    assert np.array_equal((x + 1.5).value, a + 1.5)
+    assert np.array_equal(x.compose([np.exp(a)]).value, np.exp(a))
+    assert np.array_equal(x.power(-0.7).value, a ** -0.7)
+    assert np.array_equal(x.log().value, np.log(a))
+    assert np.array_equal((-y.log() + 1.0).power(0.3).value,
+                          (1.0 - np.log(b)) ** 0.3)
+
+
+def test_compose_cube_equals_products():
+    pts = read_only_points(3, 50, 13)
+    x, y, z = Jet.variables(pts, 4)
+    t = x * y + z.log() * x + 0.3
+    v = t.value
+    cube = t.compose([v ** 3, 3 * v ** 2, 6 * v, 6.0 + 0 * v, 0 * v])
+    prod = t * t * t
+    for c, p in zip(cube.coeffs, prod.coeffs):
+        assert np.max(np.abs(c - p)) <= 1e-14 * np.max(np.abs(p))

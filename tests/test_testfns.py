@@ -49,10 +49,22 @@ def test_jet_matches_finite_difference(dom):
 
 
 def test_singular_point_raises(dom):
+    # the origin lies on every singular set, and the cutoff jet needs no
+    # patch there: the distance jet raises first, also for a pullback that
+    # maps a node to the origin (its sqrt divides by zero before the check)
     from klab.errors import SingularPoint
+    from klab.verify import PulledBackFunction
     u = make_test_function(0.5, 0.0, 1.0, dom)
-    with pytest.raises(SingularPoint):
-        u(np.array([[0.0], [0.0]]))
+    pulled = PulledBackFunction(u, [[1.0, 1.0], [1.0, 1.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for domain in (dom, ModelDomain(2, 1), ModelDomain(3, 1)):
+            v = make_test_function(0.5, 0.0, 1.0, domain)
+            with pytest.raises(SingularPoint):
+                v(np.zeros((domain.d, 1)))
+            with pytest.raises(SingularPoint):
+                v.jet(np.zeros((domain.d, 1)), order=2)
+        with pytest.raises(SingularPoint):
+            pulled.jet(np.array([[0.5, 0.3], [-0.5, 0.2]]), 2)
 
 
 def test_rescaled(dom):

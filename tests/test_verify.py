@@ -122,6 +122,14 @@ def test_empty_family_raises(dom, cover):
         check_norm_equivalence_Kmm(bad, 1, 2.0, dom, cover)
     with pytest.raises(EmptyFamily):
         check_localization(bad, 1, 0.5, 2.0, cover, PartitionOfUnity(cover))
+    # the oracle admits no member of these: EmptyFamily, not a ValueError
+    # from sizing the wavelet box over an empty list
+    bad = default_family(dom, betas=(-1.5,), lambdas=(0.0,))
+    params = SpaceParams(m=2, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
+    with pytest.raises(EmptyFamily):
+        check_embedding_ratio(params, bad, cover=cover, J=4)
+    with pytest.raises(EmptyFamily):
+        check_dual_route(bad)
 
 
 def test_divergence_log_case():

@@ -111,9 +111,8 @@ def test_parseval_1d(sys1):
         return np.cos(0.5 * math.pi * t) ** 2 * (np.abs(x[0]) <= 1.0)
 
     grid = wavelet_coefficients(u, sys1, 9, ((-2.0,), (2.0,)))
-    from scipy.integrate import quad
-    ref, _ = quad(lambda t: math.cos(0.5 * math.pi * t) ** 4, -1, 1)
-    assert grid.sum_of_squares() == pytest.approx(ref, rel=1e-3)
+    # int_{-1}^{1} cos(pi t / 2)^4 dt = 3/4
+    assert grid.sum_of_squares() == pytest.approx(0.75, rel=1e-3)
 
 
 def test_sequence_norm_tau2_s0_is_l2(sys1):
@@ -198,10 +197,8 @@ def test_2d_parseval_small():
         return np.exp(-2.0 * (x[0] ** 2 + x[1] ** 2))
 
     grid = wavelet_coefficients(u, sys2, 6, ((-2.0, -2.0), (2.0, 2.0)))
-    ref = (math.pi / 8) ** 0.5 * math.erf(2.0 * 2.0 ** 0.5)  # 1D integral
-    # int exp(-4 r^2) = (pi/4)^... compute directly instead:
-    from scipy.integrate import quad
-    one_d, _ = quad(lambda t: math.exp(-4.0 * t * t), -2, 2)
+    # ||u||_2^2 on the box is (int_{-2}^{2} exp(-4 t^2) dt)^2
+    one_d = math.sqrt(math.pi) / 2.0 * math.erf(4.0)
     assert grid.sum_of_squares() == pytest.approx(one_d ** 2, rel=1e-3)
 
 
