@@ -165,10 +165,13 @@ class Jet:
         value is g_0 itself.
         """
         n = self.order
+        g = [outer_derivs[k] / factorial(k) for k in range(1, n + 1)]
         delta = Jet(self.dim, n, [0.0] + self.coeffs[1:])
-        tail = delta * (outer_derivs[n] / factorial(n))
-        for k in range(n - 1, 0, -1):
-            tail = delta * (tail + outer_derivs[k] / factorial(k))
+        # delta g_n from delta's non-constant slots: at order 0 there are
+        # none, and nothing beyond g_0 is computed
+        tail = Jet(self.dim, n, [0.0] + [c * g[-1] for c in self.coeffs[1:]])
+        for gk in reversed(g[:-1]):
+            tail = delta * (tail + gk)
         return Jet(self.dim, n, [outer_derivs[0]] + tail.coeffs[1:])
 
     def reciprocal(self):
