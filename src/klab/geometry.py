@@ -9,11 +9,13 @@ by level; the frozen certificate constants are ``C1 = 1`` (lower),
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import CoverageGap, InvalidParams, OutsideCover, SingularPoint
-from .jets import Jet, norm_jet
+from .jets import Jet, squared_norm_jet
 from .profiles import BUMP, CAP, MAX_ORDER
 
 C1 = 1.0
@@ -49,10 +51,15 @@ class ModelDomain:
 
 
 def regularized_distance_from_jets(coords, domain):
-    """Jet of rho = eta(|x''|) built from coordinate jets."""
-    raw = norm_jet(coords, which=range(domain.ell, domain.d))
-    if np.any(raw.value <= 0.0):
+    """Jet of rho = eta(|x''|) built from coordinate jets.
+
+    The singular set is tested on |x''|^2, before the root, whose outer
+    derivatives would divide by zero there.
+    """
+    sq = squared_norm_jet(coords, which=range(domain.ell, domain.d))
+    if np.any(sq.value <= 0.0):
         raise SingularPoint("point lies on the singular set")
+    raw = sq.sqrt()
     return raw.compose(CAP.derivs(raw.value, raw.order))
 
 
@@ -243,10 +250,20 @@ class PartitionOfUnity:
                     yield j, cand[:, ixs], ixs
 
     def psi_jet(self, x, order=MAX_ORDER):
-        """Jet of the un-normalized sum of bumps at points x (d, n)."""
+        """Jet of the un-normalized sum of bumps at points x (d, n).
+
+        A level's neighbour batches are concatenated in the order they are
+        yielded and evaluated by one `bump_jet` call.  `np.add.at` applies
+        its updates in index order, so every point receives the same
+        additions in the same order as batch by batch.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         total = Jet.constant(0.0, self.d, order, (x.shape[1],))
-        for j, kk, ixs in self._neighbor_batches(x):
+        # the batches come level by level
+        for j, batches in groupby(self._neighbor_batches(x), itemgetter(0)):
+            _, kks, ixss = zip(*batches)
+            kk = np.concatenate(kks, axis=1)
+            ixs = np.concatenate(ixss)
             piece = self.bump_jet(j, kk, x[:, ixs], order)
             for m in range(len(total.coeffs)):
                 np.add.at(total.coeffs[m], ixs, piece.coeffs[m])

@@ -204,14 +204,21 @@ class Jet:
         return self.compose(derivs)
 
 
-def norm_jet(coord_jets, which=None):
-    """Jet of the Euclidean norm of a subset of coordinates.
+def squared_norm_jet(coord_jets, which=None):
+    """Jet of the squared Euclidean norm of a subset of coordinates.
 
-    `which` selects coordinate positions (default: all).  The evaluation
-    points must keep the selected norm strictly positive.
+    `which` selects coordinate positions (default: all).
     """
     sel = coord_jets if which is None else [coord_jets[i] for i in which]
     sq = sel[0] * sel[0]
     for c in sel[1:]:
         sq = sq + c * c
-    return sq.sqrt()
+    return sq
+
+
+def norm_jet(coord_jets, which=None):
+    """Jet of the Euclidean norm of a subset of coordinates.
+
+    The evaluation points must keep the selected norm strictly positive.
+    """
+    return squared_norm_jet(coord_jets, which).sqrt()

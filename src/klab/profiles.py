@@ -35,13 +35,13 @@ def smoothstep_derivs(t, order=MAX_ORDER):
     """S and derivatives; S=0 below 0 and S=1 above 1, C^4 at the knees."""
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
-    tin = np.where(inside, t, 0.5)
-    vals = [np.polynomial.polynomial.polyval(tin, c)
-            for c in _S_DERIV_COEFS[:order + 1]]
+    tin = t[inside]
     out = []
-    for k, v in enumerate(vals):
-        base = np.zeros(t.shape) if k else np.where(t >= 1.0, 1.0, 0.0)
-        out.append(np.where(inside, v, base))
+    for k, c in enumerate(_S_DERIV_COEFS[:order + 1]):
+        # 1 above the transition, 0 below it; polynomial on it only
+        val = np.zeros(t.shape) if k else np.where(t >= 1.0, 1.0, 0.0)
+        val[inside] = np.polynomial.polynomial.polyval(tin, c)
+        out.append(val)
     return out
 
 

@@ -318,17 +318,24 @@ def synthesize(system, j, k, gender, d):
 # ---------------------------------------------------------------------------
 
 def _fine_box(coeffs):
-    """Integer-aligned spatial bounding box of all nonzero coefficients."""
-    lo = np.full(coeffs.d, np.inf)
-    hi = np.full(coeffs.d, -np.inf)
+    """Integer-aligned spatial bounding box of all nonzero coefficients.
+
+    Each axis's first and last hit come from `np.any` over the other axes,
+    so no index arrays of the nonzero entries are built.
+    """
+    d = coeffs.d
+    lo = np.full(d, np.inf)
+    hi = np.full(d, -np.inf)
     for j, bands in coeffs.levels.items():
         for origin, arr in bands.values():
-            nz = np.nonzero(arr)
-            if not len(nz[0]):
-                continue
-            for ax in range(coeffs.d):
-                lo[ax] = min(lo[ax], (origin[ax] + nz[ax].min()) * 2.0 ** -j)
-                hi[ax] = max(hi[ax], (origin[ax] + nz[ax].max() + 1) * 2.0 ** -j)
+            for ax in range(d):
+                hit = np.any(arr, axis=tuple(a for a in range(d) if a != ax))
+                if not hit.any():
+                    break                        # the band is all zero
+                first = int(np.argmax(hit))
+                last = hit.size - 1 - int(np.argmax(hit[::-1]))
+                lo[ax] = min(lo[ax], (origin[ax] + first) * 2.0 ** -j)
+                hi[ax] = max(hi[ax], (origin[ax] + last + 1) * 2.0 ** -j)
     if not np.all(np.isfinite(lo)):
         return None
     return np.floor(lo).astype(int), np.ceil(hi).astype(int)

@@ -1,6 +1,7 @@
 """Whitney covers, partitions of unity, and the regularized distance."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from klab.errors import InvalidParams, OutsideCover
 from klab.geometry import (C1, C2_FACTOR, ModelDomain, PartitionOfUnity,
                            PSI_FLOOR, regularized_distance, whitney_cover)
+from klab.jets import multi_indices
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,48 @@ def test_partition_sums_to_one(pou2d):
         total[ixs] += pou2d.bump_jet(j, kk, pts[:, ixs], order=0).value \
             / psi[ixs]
     assert np.max(np.abs(total[covered] - 1.0)) < 1e-10
+
+
+def _psi_batch_by_batch(pou, x, order):
+    """The sum of bumps with one `bump_jet` call per neighbour batch."""
+    total = [np.zeros(x.shape[1]) for _ in multi_indices(pou.d, order)]
+    for j, kk, ixs in pou._neighbor_batches(x):
+        piece = pou.bump_jet(j, kk, x[:, ixs], order)
+        for m, c in enumerate(piece.coeffs):
+            np.add.at(total[m], ixs, c)
+    return total
+
+
+@pytest.mark.parametrize("d,ell", [(2, 0), (2, 1), (3, 1)])
+def test_psi_jet_is_the_batch_by_batch_sum_bit_for_bit(d, ell, monkeypatch):
+    cover = whitney_cover(ModelDomain(d, ell), ((-2,) * d, (2,) * d), 5)
+    pou = PartitionOfUnity(cover)
+    rng = np.random.default_rng(17)
+    # random points, and the corners, centres and doubled-cube corners of
+    # the finest cubes, where the bumps sit on their knees near S
+    j = max(cover.counts)
+    ks = cover.levels[j][rng.choice(len(cover.levels[j]), 30, replace=False)]
+    nodes = [(ks + off) * 2.0 ** -j for off in (-0.5, 0.0, 0.5, 1.0, 1.5)]
+    x = np.concatenate([rng.uniform(-2.0, 2.0, (d, 400))]
+                       + [n.T for n in nodes], axis=1)
+    nonempty = {jj for jj, _, _ in pou._neighbor_batches(x)}
+    for order in range(5):
+        expected = _psi_batch_by_batch(pou, x, order)
+        calls = Counter()
+        bump_jet = pou.bump_jet
+
+        def spy(jj, *args, **kwargs):
+            calls[jj] += 1
+            return bump_jet(jj, *args, **kwargs)
+
+        monkeypatch.setattr(pou, "bump_jet", spy)
+        got = pou.psi_jet(x, order).coeffs
+        monkeypatch.undo()
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes(), order
+        # one bump evaluation per non-empty level
+        assert set(calls) == nonempty and set(calls.values()) == {1}
 
 
 def test_overlap_count_bounded(pou2d):

@@ -1,9 +1,12 @@
-"""The distance cap eta against its defining slope and its knees."""
+"""The distance cap eta against its defining slope and its knees; the
+smoothstep and the profiles built from it against full evaluation."""
 
 import numpy as np
 import pytest
 
-from klab.profiles import CAP, MAX_ORDER, smoothstep
+from klab import profiles
+from klab.profiles import (BUMP, CAP, CUTOFF, MAX_ORDER, WINDOW, smoothstep,
+                           smoothstep_derivs)
 
 
 def slope(t):
@@ -64,3 +67,61 @@ def test_cap_is_exact_outside_the_transition():
     assert np.array_equal(d1, np.where(t <= 0.5, 1.0, 0.0))
     assert not d2.any()
     assert float(CAP(np.float64(0.3))) == 0.3
+
+
+def _smoothstep_full_then_mask(t, order):
+    """S and its derivatives by `polyval` over every point, masked after."""
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    tin = np.where(inside, t, 0.5)
+    out = []
+    for k, c in enumerate(profiles._S_DERIV_COEFS[:order + 1]):
+        base = np.zeros(t.shape) if k else np.where(t >= 1.0, 1.0, 0.0)
+        out.append(np.where(inside, np.polynomial.polynomial.polyval(tin, c),
+                            base))
+    return out
+
+
+def _knee_points(knees=(0.0, 1.0)):
+    """Random points, each knee exactly and one ulp either side, 0-d input."""
+    rng = np.random.default_rng(23)
+    at = [np.nextafter(a, a + s) for a in knees for s in (-1, 0, 1)]
+    return [rng.uniform(-0.5, 1.5, 2000), np.array(at), np.float64(0.3),
+            np.float64(1.0)]
+
+
+def _same_bits(got, expected):
+    return len(got) == len(expected) and all(
+        g.shape == e.shape and g.tobytes() == e.tobytes()
+        for g, e in zip(got, expected))
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_smoothstep_is_polynomial_on_its_transition_only(order, monkeypatch):
+    polyval = np.polynomial.polynomial.polyval
+    seen = []
+
+    def spy(t, c):
+        seen.append(np.asarray(t))
+        return polyval(t, c)
+
+    for t in _knee_points():
+        expected = _smoothstep_full_then_mask(t, order)
+        monkeypatch.setattr(np.polynomial.polynomial, "polyval", spy)
+        got = smoothstep_derivs(t, order)
+        monkeypatch.undo()
+        assert _same_bits(got, expected)
+    assert all(np.all((s > 0.0) & (s < 1.0)) for s in seen)
+
+
+@pytest.mark.parametrize("profile", [BUMP, CUTOFF, WINDOW])
+def test_profiles_match_full_smoothstep_evaluation(profile, monkeypatch):
+    for order in range(MAX_ORDER + 1):
+        for t in _knee_points((-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)) \
+                + [np.linspace(-2.0, 3.0, 4001)]:
+            got = profile.derivs(t, order)
+            monkeypatch.setattr(profiles, "smoothstep_derivs",
+                                _smoothstep_full_then_mask)
+            expected = profile.derivs(t, order)
+            monkeypatch.undo()
+            assert _same_bits(got, expected), order

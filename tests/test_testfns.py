@@ -67,6 +67,24 @@ def test_singular_point_raises(dom):
             pulled.jet(np.array([[0.5, 0.3], [-0.5, 0.2]]), 2)
 
 
+def test_singular_point_raises_before_any_float_error(dom):
+    # the singular set is tested on |x''|^2 before the root, so no numpy
+    # warning (here: error) comes before SingularPoint
+    from klab.errors import SingularPoint
+    from klab.verify import PulledBackFunction
+    u = make_test_function(0.5, 0.0, 1.0, dom)
+    pulled = PulledBackFunction(u, [[1.0, 1.0], [1.0, 1.0]])
+    with np.errstate(all="raise"):
+        for domain in (dom, ModelDomain(2, 1), ModelDomain(3, 1)):
+            v = make_test_function(0.5, 0.0, 1.0, domain)
+            with pytest.raises(SingularPoint):
+                v(np.zeros((domain.d, 1)))
+            with pytest.raises(SingularPoint):
+                v.jet(np.zeros((domain.d, 1)), order=2)
+        with pytest.raises(SingularPoint):
+            pulled.jet(np.array([[0.5, 0.3], [-0.5, 0.2]]), 2)
+
+
 def test_rescaled(dom):
     u = make_test_function(1.0, 0.0, 1.0, dom)
     v = u.rescaled(1)

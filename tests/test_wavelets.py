@@ -85,6 +85,59 @@ def test_zero_function_zero_grid(sys1):
     assert grid.sum_of_squares() == 0.0
 
 
+def _fine_box_by_nonzero(coeffs):
+    """Support box from the index arrays of every band's nonzero entries."""
+    lo = np.full(coeffs.d, np.inf)
+    hi = np.full(coeffs.d, -np.inf)
+    for j, bands in coeffs.levels.items():
+        for origin, arr in bands.values():
+            nz = np.nonzero(arr)
+            if not len(nz[0]):
+                continue
+            for ax in range(coeffs.d):
+                lo[ax] = min(lo[ax], (origin[ax] + nz[ax].min()) * 2.0 ** -j)
+                hi[ax] = max(hi[ax], (origin[ax] + nz[ax].max() + 1) * 2.0 ** -j)
+    if not np.all(np.isfinite(lo)):
+        return None
+    return np.floor(lo).astype(int), np.ceil(hi).astype(int)
+
+
+def _clipped_bump(center, radius):
+    """A C^2 bump that is exactly zero outside a ball off the box centre."""
+    def u(x):
+        r2 = np.sum((x - np.asarray(center)[:, None]) ** 2, axis=0)
+        return np.clip(1.0 - r2 / radius ** 2, 0.0, None) ** 3
+    return u
+
+
+@pytest.mark.parametrize("center,radius,J", [
+    ((0.3,), 0.4, 6), ((-1.1,), 0.2, 7),
+    ((0.6, -0.9), 0.3, 5), ((-1.2, 0.1), 0.5, 4),
+    ((0.2, -0.4, 0.9), 0.3, 3)])
+def test_fine_box_matches_nonzero_search(sys1, center, radius, J):
+    d = len(center)
+    grid = wavelet_coefficients(_clipped_bump(center, radius), sys1, J,
+                                ((-2.0,) * d, (2.0,) * d))
+    expected = _fine_box_by_nonzero(grid)
+    box = wavelets._fine_box(grid)
+    assert np.array_equal(box[0], expected[0])
+    assert np.array_equal(box[1], expected[1])
+    # zero the finest level's bands and every other coarse band
+    for j, bands in grid.levels.items():
+        for n, gender in enumerate(sorted(bands)):
+            origin, arr = bands[gender]
+            if j == J - 1 or n % 2:
+                bands[gender] = (origin, np.zeros_like(arr))
+    expected = _fine_box_by_nonzero(grid)
+    box = wavelets._fine_box(grid)
+    assert np.array_equal(box[0], expected[0])
+    assert np.array_equal(box[1], expected[1])
+    for bands in grid.levels.values():
+        for gender, (origin, arr) in bands.items():
+            bands[gender] = (origin, np.zeros_like(arr))
+    assert wavelets._fine_box(grid) is None
+
+
 def test_impulse_reconstruction(sys1):
     # u = a single level-3 wavelet: its coefficient grid is a unit impulse
     j0, k0 = 3, (1,)
