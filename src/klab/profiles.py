@@ -6,7 +6,8 @@ piecewise polynomial and C^4 across its knees:
 
 * ``smoothstep``     S: 0 -> 1 on [0, 1]
 * ``DistanceCap``    eta: identity below 1/2, constant 1 above 2, strictly
-                     monotone in between
+                     monotone in between, where it is evaluated as 16
+                     degree-12 Chebyshev pieces built exactly at import
 * ``RadialCutoff``   zeta: 1 on [0, 1], 0 on [2, inf)
 * ``BumpProfile``    1 on [0, 1], supported in (-1/2, 3/2)
 * ``DyadicWindow``   translates sum to 1 on the line (log-annuli partitions)
@@ -49,20 +50,30 @@ def smoothstep(t):
     return smoothstep_derivs(t, order=0)[0]
 
 
-def _chebyshev_in_x(eta):
-    """Chebyshev coefficients in x of the exact polynomial sum_k eta[k] u^k,
-    u = (1 + x)/2: Horner's scheme in the Chebyshev basis, with
-    x T_k = (T_k+1 + T_|k-1|)/2, scaled by 4 per step to stay in integers."""
-    den = math.lcm(*(Fraction(a).denominator for a in eta))
-    c = []
-    for step, a in enumerate(eta[::-1], start=1):
-        xc = [0] * (len(c) + 1)
-        for k, v in enumerate(c):
-            xc[k + 1] += v
-            xc[abs(k - 1)] += v
-        c = [2 * v + xv for v, xv in zip(c + [0], xc)]
-        c[0] += int(a * den) * 4 ** step
-    return np.array([Fraction(v, den * 4 ** len(eta)) for v in c], dtype=float)
+def _chebyshev_in_x(a, m, s):
+    """Integer Chebyshev coefficients c of the polynomial sum_k a[k] u^k with
+    integer a and u = (m + x)/s:  sum_k a[k] u^k = sum_n c[n] T_n(x) /
+    (2s)^(len(a) - 1).  Horner's scheme in the Chebyshev basis, scaled by 2s
+    per step to stay in integers: as 2x T_n = T_n+1 + T_|n-1|, the n-th
+    coefficient of 2(m + x) sum c_n T_n is 2m c_n + c_n-1 + c_n+1, with c_0
+    counted twice at n = 1."""
+    c = [a[-1]]
+    for a_k in a[-2::-1]:
+        c = [2 * m * v + lo + hi for v, lo, hi
+             in zip(c + [0], [0, 2 * c[0]] + c[1:], c[1:] + [0, 0])]
+        c[0] += a_k * (2 * s) ** (len(c) - 1)
+    return c
+
+
+def _chebyshev_derivative(c):
+    """Integer D with d/dx sum_n c[n] T_n = sum_n D[n] T_n / 2: the exact
+    recurrence d_n-1 = d_n+1 + 2n c_n with d_0 halved, doubled to stay in
+    integers."""
+    d = [0] * (len(c) + 1)
+    for n in range(len(c) - 1, 1, -1):
+        d[n - 1] = d[n + 1] + 4 * n * c[n]
+    d[0] = d[2] // 2 + 2 * c[1]
+    return d[:len(c) - 1]
 
 
 class DistanceCap:
@@ -70,17 +81,48 @@ class DistanceCap:
 
     On the transition interval the derivative is the nonnegative polynomial
     a(1-S)^2 + b(1-S)^5 in u=(t-1/2)/(3/2); the rational weights a, b are
-    chosen so the cap reaches exactly 1 at t=2.  There eta and its
-    derivatives are polynomials of degree <= 46, built once in exact
-    rational arithmetic and stored as Chebyshev series in x = 2u - 1 (the
-    monomial form cancels catastrophically); Clenshaw's recurrence evaluates
-    them on the transition points only.
+    chosen so the cap reaches exactly 1 at t=2.  There eta is a polynomial
+    of degree 46, built once in exact rational arithmetic.
+
+    The transition is split into PIECES equal pieces.  On each, eta and its
+    derivatives of order <= MAX_ORDER are stored as Chebyshev series of
+    degree DEG in the piece's coordinate x in [-1, 1] (the monomial form
+    cancels catastrophically).  Each series is exact before it is cut: the
+    rational coefficients are scaled to integers, each piece's shift and
+    scale u = (2j + 1 + x)/(2 PIECES) is taken inside an integer Horner
+    scheme in the Chebyshev basis, the derivatives come from the exact
+    Chebyshev derivative recurrence, and only the first DEG + 1
+    coefficients are rounded to float.  Against the exact eta^(k) the
+    values are within 3e-15 of max |eta^(k)| for every order k.  ``derivs``
+    finds each transition point's piece and runs one Clenshaw recurrence
+    over a block of BLOCK points at a time, gathering each point's
+    coefficients per step.
     """
 
     LO, HI = 0.5, 2.0
+    PIECES, DEG = 16, 12
+    BLOCK = 2 ** 14
     _A = Fraction(1965651386, 19083622761)
 
     def __init__(self):
+        eta = self._eta_in_u()
+        den = math.lcm(*(Fraction(v).denominator for v in eta))
+        a = [int(v * den) for v in eta]
+        p = self.PIECES
+        table = np.empty((MAX_ORDER + 1, self.DEG + 1, p))
+        for j in range(p):
+            c = _chebyshev_in_x(a, 2 * j + 1, 2 * p)
+            den_j = den * (4 * p) ** (len(a) - 1)
+            for k in range(MAX_ORDER + 1):
+                if k:
+                    # d/dt = (4 PIECES / 3) d/dx, and D is twice d/dx
+                    c = [2 * p * v for v in _chebyshev_derivative(c)]
+                    den_j *= 3
+                table[k, :, j] = [v / den_j for v in c[:self.DEG + 1]]
+        self._table = table
+
+    def _eta_in_u(self):
+        """The exact coefficients of eta on the transition, ascending in u."""
         P = np.polynomial.polynomial
         w = np.array([1] + [-int(c) for c in _S_COEF[1:]],
                      dtype=object)                       # 1 - S
@@ -89,23 +131,36 @@ class DistanceCap:
                       (1 - self._A) * P.polymul(P.polymul(w2, w2), w))
         eta = P.polyint(h * Fraction(3, 2))              # 1/2 + 3/2 int h
         eta[0] = Fraction(1, 2)
-        self._series = []
-        for _ in range(MAX_ORDER + 1):
-            self._series.append(_chebyshev_in_x(eta))
-            eta = P.polyder(eta) * Fraction(2, 3)        # d/dt = 2/3 d/du
+        return eta
 
     def derivs(self, t, order=MAX_ORDER):
         t = np.asarray(t, dtype=float)
         lo = self.LO
-        mid = (t > lo) & (t < self.HI)
-        x = (t[mid] - lo) * (4.0 / 3.0) - 1.0
+        # identity below the transition, constant 1 above it
+        out = [np.where(t <= lo, t if k == 0 else float(k == 1),
+                        float(k == 0)) for k in range(order + 1)]
+        inner = np.flatnonzero((t > lo) & (t < self.HI))
+        # blocks small enough for the recurrence's temporaries to stay in
+        # cache: on millions of points this halves the time
+        for i in range(0, inner.size, self.BLOCK):
+            block = inner[i:i + self.BLOCK]             # flat indices
+            for val, v in zip(out, self._clenshaw(t.take(block), order)):
+                val.put(block, v)
+        return out
+
+    def _clenshaw(self, t, order):
+        """eta^(k)(t), k = 0..order, at points t inside the transition."""
+        # each point's piece and its coordinate x in the piece
+        s = (t - self.LO) * (self.PIECES / (self.HI - self.LO))
+        idx = np.minimum(s.astype(np.intp), self.PIECES - 1)
+        x = 2.0 * (s - idx) - 1.0
+        x2 = 2.0 * x
         out = []
-        for k in range(order + 1):
-            # identity below the transition, constant 1 above it
-            val = np.where(t <= lo, t if k == 0 else float(k == 1),
-                           float(k == 0))
-            val[mid] = np.polynomial.chebyshev.chebval(x, self._series[k])
-            out.append(val)
+        for c in self._table[:order + 1]:
+            b1, b2 = c[self.DEG][idx], 0.0
+            for n in range(self.DEG - 1, 0, -1):
+                b1, b2 = c[n][idx] + x2 * b1 - b2, b1
+            out.append(c[0][idx] + x * b1 - b2)
         return out
 
     def __call__(self, t):
@@ -132,13 +187,13 @@ class BumpProfile:
 
     def derivs(self, t, order=MAX_ORDER):
         t = np.asarray(t, dtype=float)
-        up = smoothstep_derivs(2.0 * t + 1.0, order)
-        down = smoothstep_derivs(2.0 * t - 2.0, order)
         rising = t < 0.5
-        out = [np.where(rising, up[0], 1.0 - down[0])]
+        # one smoothstep per point: S(2t+1) below 1/2, S(2t-2) from 1/2 on
+        s = smoothstep_derivs(np.where(rising, 2.0 * t + 1.0, 2.0 * t - 2.0),
+                              order)
+        out = [np.where(rising, s[0], 1.0 - s[0])]
         for k in range(1, order + 1):
-            scale = 2.0 ** k
-            out.append(np.where(rising, up[k], -down[k]) * scale)
+            out.append(np.where(rising, s[k], -s[k]) * 2.0 ** k)
         return out
 
 

@@ -1,5 +1,9 @@
-"""The distance cap eta against its defining slope and its knees; the
-smoothstep and the profiles built from it against full evaluation."""
+"""The distance cap eta against its defining slope, its knees and its exact
+rational form, piece by piece; the smoothstep and the profiles built from
+it against full evaluation."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +28,14 @@ def integral_of_slope(t):
     return half * float(np.sum(w * slope(CAP.LO + half * (x + 1.0))))
 
 
-@pytest.mark.parametrize("t", [0.5001, 0.7, 1.0, 1.3, 1.9, 1.9999])
+# the inner ends of the cap's pieces, and points 1e-12 either side of them
+PIECE_ENDS = [CAP.LO + (CAP.HI - CAP.LO) * j / CAP.PIECES
+              for j in range(1, CAP.PIECES)]
+NEAR_PIECE_ENDS = [t + e for t in PIECE_ENDS for e in (-1e-12, 0.0, 1e-12)]
+
+
+@pytest.mark.parametrize("t", [0.5001, 0.7, 1.0, 1.3, 1.9, 1.9999]
+                         + NEAR_PIECE_ENDS)
 def test_cap_is_the_integral_of_its_slope(t):
     val, d1 = CAP.derivs(np.array([t]), order=1)
     assert val[0] == pytest.approx(CAP.LO + integral_of_slope(t), abs=1e-14)
@@ -38,7 +49,7 @@ def test_cap_reaches_one_at_the_upper_knee():
 
 
 def test_cap_derivatives_match_finite_differences():
-    t = np.linspace(0.55, 1.95, 29)
+    t = np.concatenate([np.linspace(0.55, 1.95, 29), NEAR_PIECE_ENDS])
     h = 1e-6
     lo, hi = CAP.derivs(t - h, MAX_ORDER), CAP.derivs(t + h, MAX_ORDER)
     mid = CAP.derivs(t, MAX_ORDER)
@@ -67,6 +78,84 @@ def test_cap_is_exact_outside_the_transition():
     assert np.array_equal(d1, np.where(t <= 0.5, 1.0, 0.0))
     assert not d2.any()
     assert float(CAP(np.float64(0.3))) == 0.3
+
+
+def _exact_cap(k, t):
+    """eta^(k) at the points t of the transition, in rational arithmetic
+    and rounded once."""
+    eta = CAP._eta_in_u()
+    for _ in range(k):
+        eta = np.polynomial.polynomial.polyder(eta) * Fraction(2, 3)
+    out = []
+    for s in t:
+        u = (Fraction(s) - Fraction(CAP.LO)) / Fraction(CAP.HI - CAP.LO)
+        val = Fraction(0)
+        for c in eta[::-1]:
+            val = val * u + c
+        out.append(float(val))
+    return np.array(out)
+
+
+def _cap_scale():
+    """max |eta^(k)| on the transition, order by order."""
+    got = CAP.derivs(np.linspace(CAP.LO, CAP.HI, 20001)[1:-1], MAX_ORDER)
+    return [float(np.abs(g).max()) for g in got]
+
+
+def test_cap_pieces_match_exact_rational_eta():
+    # nine dyadic points per piece, both ends included, through derivs and
+    # through each piece's own series at x = -1 and x = 1
+    scale = _cap_scale()
+    p, width = CAP.PIECES, CAP.HI - CAP.LO
+    t = np.array([CAP.LO + width * (j + m / 8) / p
+                  for j in range(p) for m in range(9)])
+    got = CAP.derivs(t, MAX_ORDER)
+    for k in range(MAX_ORDER + 1):
+        exact = _exact_cap(k, t)
+        assert np.max(np.abs(got[k] - exact)) <= 1e-14 * scale[k], k
+        ends = np.polynomial.chebyshev.chebval(
+            np.array([-1.0, 1.0]), CAP._table[k])          # (pieces, 2)
+        exact_ends = exact.reshape(p, 9)[:, [0, 8]]
+        assert np.max(np.abs(ends - exact_ends)) <= 1e-14 * scale[k], k
+
+
+def test_cap_piece_table_is_a_direct_fraction_taylor_shift():
+    # piece j in rationals: Taylor shift of eta(u) to u = (j + v)/PIECES,
+    # substitute v = (1 + x)/2, differentiate in t, convert x^l to
+    # 2^-l sum_i C(l, i) T_|l - 2i| and round the first DEG + 1 terms
+    j, p = 11, CAP.PIECES
+    eta = CAP._eta_in_u()
+    n = len(eta)
+    v = [sum(eta[k] * math.comb(k, i) * j ** (k - i) / Fraction(p) ** k
+             for k in range(i, n)) for i in range(n)]
+    x = [sum(v[l] * math.comb(l, i) / Fraction(2) ** l for l in range(i, n))
+         for i in range(n)]
+    dxdt = Fraction(2 * p) / Fraction(CAP.HI - CAP.LO)
+    for k in range(MAX_ORDER + 1):
+        if k:
+            x = [x[i] * i * dxdt for i in range(1, len(x))]
+        cheb = [Fraction(0)] * len(x)
+        for l, a in enumerate(x):
+            for i in range(l + 1):
+                cheb[abs(l - 2 * i)] += a * math.comb(l, i) / Fraction(2) ** l
+        expected = np.array([float(c) for c in cheb[:CAP.DEG + 1]])
+        assert CAP._table[k][:, j].tobytes() == expected.tobytes(), k
+
+
+def test_cap_blocks_match_one_pass():
+    # over two blocks of transition points, in a Fortran-ordered array and
+    # a strided view of it, against one recurrence over all of them
+    t = np.asfortranarray(np.random.default_rng(29).uniform(
+        0.0, 2.5, (3, CAP.BLOCK + 7)))
+    for arr in (t, t[:, ::2]):
+        got = CAP.derivs(arr, MAX_ORDER)
+        mid = (arr > CAP.LO) & (arr < CAP.HI)
+        whole = CAP._clenshaw(arr[mid], MAX_ORDER)
+        for k in range(MAX_ORDER + 1):
+            expected = np.where(arr <= CAP.LO, arr if k == 0 else
+                                float(k == 1), float(k == 0))
+            expected[mid] = whole[k]
+            assert _same_bits([got[k]], [expected]), k
 
 
 def _smoothstep_full_then_mask(t, order):
@@ -125,3 +214,37 @@ def test_profiles_match_full_smoothstep_evaluation(profile, monkeypatch):
             expected = profile.derivs(t, order)
             monkeypatch.undo()
             assert _same_bits(got, expected), order
+
+
+def _bump_full_then_where(t, order):
+    """The bump with both smoothsteps over every point, one kept by
+    `np.where`."""
+    t = np.asarray(t, dtype=float)
+    up = smoothstep_derivs(2.0 * t + 1.0, order)
+    down = smoothstep_derivs(2.0 * t - 2.0, order)
+    rising = t < 0.5
+    out = [np.where(rising, up[0], 1.0 - down[0])]
+    for k in range(1, order + 1):
+        out.append(np.where(rising, up[k], -down[k]) * 2.0 ** k)
+    return out
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_bump_evaluates_one_smoothstep_per_point(order, monkeypatch):
+    step = profiles.smoothstep_derivs
+    seen = []
+
+    def spy(t, order):
+        seen.append(np.size(t))
+        return step(t, order)
+
+    edge = np.array([-0.0, np.nan, np.inf, -np.inf])
+    for t in _knee_points((-0.5, 0.0, 0.5, 1.0, 1.5)) \
+            + [np.linspace(-1.0, 2.0, 3000).reshape(3, 1000), edge]:
+        expected = _bump_full_then_where(t, order)
+        seen.clear()
+        monkeypatch.setattr(profiles, "smoothstep_derivs", spy)
+        got = BUMP.derivs(t, order)
+        monkeypatch.undo()
+        assert _same_bits(got, expected)
+        assert sum(seen) == np.size(t)
