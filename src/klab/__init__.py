@@ -11,8 +11,7 @@ from .testfns import (TestFunction, MembershipVerdict, make_test_function,
 from .norms import (SpaceParams, NormValue, cover_norms, kondratiev_terms,
                     sobolev_terms, weighted_lp_terms, rloc_weighted_terms,
                     sharp_terms, rloc_norm_localized, multiply_by_rho_power,
-                    classify_radial_integral, radial_reference_integral,
-                    FINITE, DIVERGENT, INCONCLUSIVE)
+                    radial_reference_integral, FINITE, DIVERGENT, INCONCLUSIVE)
 from .wavelets import (WaveletSystem, CoefficientGrid, daubechies_filter,
                        build_wavelet_system, wavelet_coefficients,
                        f_sequence_norm, synthesize)

@@ -335,15 +335,8 @@ def multiply_by_rho_power(u, gamma):
 
 
 # ---------------------------------------------------------------------------
-# Exact radial integral classification and 1D reference quadrature
+# 1D radial reference quadrature
 # ---------------------------------------------------------------------------
-
-def classify_radial_integral(e, g):
-    """int_0^R t^e (1+|log t|)^g dt: Finite iff e > -1, or e = -1 and g < -1,
-    as decided by `testfns.classify_radial_exponent`."""
-    return FINITE if classify_radial_exponent(e + 1.0, g).member \
-        else DIVERGENT
-
 
 def radial_reference_integral(e, g, R=1.0, eps=0.0):
     """High-accuracy 1D reference: int_eps^R t^e (1 + |log t|)^g dt.
@@ -351,7 +344,7 @@ def radial_reference_integral(e, g, R=1.0, eps=0.0):
     Accurate to about 1e-14 relative for R/eps <= 2^20; beyond, one quad
     misses mass near eps (at R = 1, eps = 2^-24: 2.4e-4 for e = -1/2, 23 %
     for e = -0.9), so sum shells over longer ranges."""
-    if eps <= 0.0 and classify_radial_integral(e, g) == DIVERGENT:
+    if eps <= 0.0 and not classify_radial_exponent(e + 1.0, g).member:
         raise InvalidParams("integral diverges at 0; pass eps > 0")
 
     def f(t):

@@ -8,9 +8,13 @@ piecewise polynomial and C^4 across its knees:
 * ``DistanceCap``    eta: identity below 1/2, constant 1 above 2, strictly
                      monotone in between, where it is evaluated as 16
                      degree-12 Chebyshev pieces built exactly at import
-* ``RadialCutoff``   zeta: 1 on [0, 1], 0 on [2, inf)
-* ``BumpProfile``    1 on [0, 1], supported in (-1/2, 3/2)
-* ``DyadicWindow``   translates sum to 1 on the line (log-annuli partitions)
+* ``Plateau``        S(a t + b_rise) below a split, 1 - S(a t + b_fall) from
+                     it on.  ``CUTOFF`` zeta (a = 1, b_fall = -1, no rise):
+                     1 on [0, 1], 0 on [2, inf).  ``BUMP`` (a = 2, b_rise = 1,
+                     b_fall = -2, split 1/2): 1 on [0, 1], supported in
+                     (-1/2, 3/2).  ``WINDOW`` (a = 1, b_rise = 1, b_fall = 0,
+                     split 0): supported in (-1, 1), translates sum to 1 on
+                     the line (log-annuli partitions)
 
 Each profile exposes ``derivs(t, order)`` returning the function value and
 derivatives 0..order at an array of points, the format consumed by
@@ -32,18 +36,35 @@ for _ in range(MAX_ORDER):
     _S_DERIV_COEFS.append(np.polynomial.polynomial.polyder(_S_DERIV_COEFS[-1]))
 
 
+# transition points per polynomial pass: small enough for the pass's
+# temporaries to stay in cache, which on millions of points halves the time
+BLOCK = 2 ** 14
+
+
+def _on_transition(t, lo, hi, outer, inner, order):
+    """outer(x, k) for derivative k off the open interval (lo, hi),
+    overwritten on it by inner(x, order), which is applied to BLOCK points
+    at a time; x runs over the points of t in C order."""
+    x = t.ravel()
+    out = [outer(x, k) for k in range(order + 1)]
+    idx = np.flatnonzero((x > lo) & (x < hi))
+    for i in range(0, idx.size, BLOCK):
+        block = idx[i:i + BLOCK]
+        for val, v in zip(out, inner(x[block], order)):
+            val[block] = v
+    return [val.reshape(t.shape) for val in out]
+
+
 def smoothstep_derivs(t, order=MAX_ORDER):
     """S and derivatives; S=0 below 0 and S=1 above 1, C^4 at the knees."""
     t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tin = t[inside]
-    out = []
-    for k, c in enumerate(_S_DERIV_COEFS[:order + 1]):
-        # 1 above the transition, 0 below it; polynomial on it only
-        val = np.zeros(t.shape) if k else np.where(t >= 1.0, 1.0, 0.0)
-        val[inside] = np.polynomial.polynomial.polyval(tin, c)
-        out.append(val)
-    return out
+    # 1 above the transition, 0 below it; polynomial on it only
+    return _on_transition(
+        t, 0.0, 1.0,
+        lambda x, k: np.zeros(x.shape) if k else np.where(x >= 1.0, 1.0, 0.0),
+        lambda tin, order: [np.polynomial.polynomial.polyval(tin, c)
+                            for c in _S_DERIV_COEFS[:order + 1]],
+        order)
 
 
 def smoothstep(t):
@@ -101,7 +122,6 @@ class DistanceCap:
 
     LO, HI = 0.5, 2.0
     PIECES, DEG = 16, 12
-    BLOCK = 2 ** 14
     _A = Fraction(1965651386, 19083622761)
 
     def __init__(self):
@@ -135,18 +155,12 @@ class DistanceCap:
 
     def derivs(self, t, order=MAX_ORDER):
         t = np.asarray(t, dtype=float)
-        lo = self.LO
         # identity below the transition, constant 1 above it
-        out = [np.where(t <= lo, t if k == 0 else float(k == 1),
-                        float(k == 0)) for k in range(order + 1)]
-        inner = np.flatnonzero((t > lo) & (t < self.HI))
-        # blocks small enough for the recurrence's temporaries to stay in
-        # cache: on millions of points this halves the time
-        for i in range(0, inner.size, self.BLOCK):
-            block = inner[i:i + self.BLOCK]             # flat indices
-            for val, v in zip(out, self._clenshaw(t.take(block), order)):
-                val.put(block, v)
-        return out
+        return _on_transition(
+            t, self.LO, self.HI,
+            lambda x, k: np.where(x <= self.LO, x if k == 0 else float(k == 1),
+                                  float(k == 0)),
+            self._clenshaw, order)
 
     def _clenshaw(self, t, order):
         """eta^(k)(t), k = 0..order, at points t inside the transition."""
@@ -167,50 +181,33 @@ class DistanceCap:
         return self.derivs(t, order=0)[0]
 
 
-class RadialCutoff:
-    """zeta(t): 1 on [0,1], falls to 0 on [1,2] via the smoothstep."""
+class Plateau:
+    """S(a t + b_rise) for t < split, 1 - S(a t + b_fall) from split on; with
+    no split, only the fall.  Derivative k is s_k a^k on the rise and
+    -s_k a^k on the fall, where s_k is S^(k) at the point's one argument."""
+
+    def __init__(self, a, b_fall, b_rise=None, split=None):
+        self.a, self.b_fall, self.split = a, b_fall, split
+        self.b_rise = b_fall if b_rise is None else b_rise  # no split: unused
 
     def derivs(self, t, order=MAX_ORDER):
         t = np.asarray(t, dtype=float)
-        s = smoothstep_derivs(t - 1.0, order)
+        x = t.ravel()       # 1-D, so that 1 - s_0 and -s_k are arrays to copy to
+        rising = False if self.split is None else x < self.split
+        # one argument per point: numpy adds the offsets into x * a in place
+        s = smoothstep_derivs(
+            x * self.a + np.where(rising, self.b_rise, self.b_fall), order)
+        # the fall, 1 - s_0 and -s_k a^k, with the rise s_k a^k copied in
         out = [1.0 - s[0]]
         for k in range(1, order + 1):
+            s[k] *= self.a ** k
             out.append(-s[k])
-        return out
-
-
-class BumpProfile:
-    """Reference bump for the unit cube: 1 on [0,1], support in (-1/2, 3/2).
-
-    Rises as S(2t+1) on [-1/2, 0] and falls as 1 - S(2t-2) on [1, 3/2].
-    """
-
-    def derivs(self, t, order=MAX_ORDER):
-        t = np.asarray(t, dtype=float)
-        rising = t < 0.5
-        # one smoothstep per point: S(2t+1) below 1/2, S(2t-2) from 1/2 on
-        s = smoothstep_derivs(np.where(rising, 2.0 * t + 1.0, 2.0 * t - 2.0),
-                              order)
-        out = [np.where(rising, s[0], 1.0 - s[0])]
-        for k in range(1, order + 1):
-            out.append(np.where(rising, s[k], -s[k]) * 2.0 ** k)
-        return out
-
-
-class DyadicWindow:
-    """w with supp w subset (-1,1) and sum_j w(t - j) = 1 on the line."""
-
-    def derivs(self, t, order=MAX_ORDER):
-        t = np.asarray(t, dtype=float)
-        up = smoothstep_derivs(t + 1.0, order)
-        down = smoothstep_derivs(t, order)
-        out = [up[0] - down[0]]
-        for k in range(1, order + 1):
-            out.append(up[k] - down[k])
-        return out
+        for val, v in zip(out, s):
+            np.copyto(val, v, where=rising)
+        return [val.reshape(t.shape) for val in out]
 
 
 CAP = DistanceCap()
-CUTOFF = RadialCutoff()
-BUMP = BumpProfile()
-WINDOW = DyadicWindow()
+CUTOFF = Plateau(1.0, -1.0)
+BUMP = Plateau(2.0, -2.0, 1.0, 0.5)
+WINDOW = Plateau(1.0, 0.0, 1.0, 0.0)

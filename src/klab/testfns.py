@@ -102,7 +102,7 @@ def classify_radial_exponent(e, g):
     Finite iff e > 0, or e = 0 with g < -1 (the equality case, where the
     log power governs).  |e| <= BOUNDARY_TOL counts as e = 0, so that no
     verdict flips on rounding noise in e.  This is the one radial rule;
-    `norms.classify_radial_integral` and the divergence check use it too.
+    `norms.radial_reference_integral` and the divergence check use it too.
     """
     boundary = abs(e) <= BOUNDARY_TOL
     member = g < -1.0 if boundary else e > 0.0

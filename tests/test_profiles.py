@@ -146,7 +146,7 @@ def test_cap_blocks_match_one_pass():
     # over two blocks of transition points, in a Fortran-ordered array and
     # a strided view of it, against one recurrence over all of them
     t = np.asfortranarray(np.random.default_rng(29).uniform(
-        0.0, 2.5, (3, CAP.BLOCK + 7)))
+        0.0, 2.5, (3, profiles.BLOCK + 7)))
     for arr in (t, t[:, ::2]):
         got = CAP.derivs(arr, MAX_ORDER)
         mid = (arr > CAP.LO) & (arr < CAP.HI)
@@ -229,8 +229,32 @@ def _bump_full_then_where(t, order):
     return out
 
 
-@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
-def test_bump_evaluates_one_smoothstep_per_point(order, monkeypatch):
+def _cutoff_one_minus_step(t, order):
+    """The cutoff as 1 - S(t - 1)."""
+    s = smoothstep_derivs(np.asarray(t, dtype=float) - 1.0, order)
+    return [1.0 - s[0]] + [-v for v in s[1:]]
+
+
+def _window_difference(t, order):
+    """The window as S(t + 1) - S(t)."""
+    t = np.asarray(t, dtype=float)
+    up, down = smoothstep_derivs(t + 1.0, order), smoothstep_derivs(t, order)
+    return [u - d for u, d in zip(up, down)]
+
+
+# each plateau against a formula with a smoothstep per branch; the bump's
+# cases keep their bare order as id
+PLATEAU_CASES = [pytest.param(BUMP, _bump_full_then_where, k, id=str(k))
+                 for k in range(MAX_ORDER + 1)] + [
+    pytest.param(profile, formula, k, id=f"{name}-{k}")
+    for name, profile, formula in (("cutoff", CUTOFF, _cutoff_one_minus_step),
+                                   ("window", WINDOW, _window_difference))
+    for k in range(MAX_ORDER + 1)]
+
+
+@pytest.mark.parametrize("profile,formula,order", PLATEAU_CASES)
+def test_bump_evaluates_one_smoothstep_per_point(profile, formula, order,
+                                                 monkeypatch):
     step = profiles.smoothstep_derivs
     seen = []
 
@@ -238,13 +262,31 @@ def test_bump_evaluates_one_smoothstep_per_point(order, monkeypatch):
         seen.append(np.size(t))
         return step(t, order)
 
-    edge = np.array([-0.0, np.nan, np.inf, -np.inf])
-    for t in _knee_points((-0.5, 0.0, 0.5, 1.0, 1.5)) \
-            + [np.linspace(-1.0, 2.0, 3000).reshape(3, 1000), edge]:
-        expected = _bump_full_then_where(t, order)
+    # the window differs from its formula in zero signs, and is 1, not 0,
+    # at NaN, which its callers never pass
+    window = profile is WINDOW
+    edge = np.array([-0.0, np.inf, -np.inf] + ([] if window else [np.nan]))
+    for t in _knee_points((-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)) \
+            + [np.linspace(-2.0, 3.0, 3000).reshape(3, 1000), edge]:
+        expected = formula(t, order)
         seen.clear()
         monkeypatch.setattr(profiles, "smoothstep_derivs", spy)
-        got = BUMP.derivs(t, order)
+        got = profile.derivs(t, order)
         monkeypatch.undo()
-        assert _same_bits(got, expected)
+        if window:
+            assert len(got) == len(expected) and all(
+                np.array_equal(g, e) for g, e in zip(got, expected))
+        else:
+            assert _same_bits(got, expected)
         assert sum(seen) == np.size(t)
+
+
+def test_smoothstep_blocks_match_one_pass():
+    # over several blocks of transition points, in a Fortran-ordered array
+    # and a strided view of it, against polyval over every point
+    t = np.asfortranarray(np.random.default_rng(31).uniform(
+        -0.5, 1.5, (3, 2 * profiles.BLOCK + 7)))
+    for arr in (t, t[:, ::2]):
+        assert np.count_nonzero((arr > 0.0) & (arr < 1.0)) > profiles.BLOCK
+        assert _same_bits(smoothstep_derivs(arr, MAX_ORDER),
+                          _smoothstep_full_then_mask(arr, MAX_ORDER))
