@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -232,7 +232,7 @@ def default_family(domain, betas=DEFAULT_BETAS, lambdas=DEFAULT_LAMBDAS):
             for b in betas for l in lambdas]
 
 
-def standard_cover(domain, radius=3, j_max=12):
+def standard_cover(domain, radius, j_max):
     r = int(math.ceil(radius))
     box = ((-r,) * domain.d, (r,) * domain.d)
     return whitney_cover(domain, box, j_max)
@@ -324,6 +324,45 @@ def _filter_family(family, oracle, reason):
     return kept, excluded
 
 
+def _in_kondratiev(family, m, a, p, space="K^m_{a,p}"):
+    """_filter_family by the exponent oracle of K^m_{a,p}."""
+    return _filter_family(
+        family, lambda u: kondratiev_membership(u, m, a, p).member,
+        f"not in {space} by the exponent oracle")
+
+
+def _in_f_space(family, m, tau, domain, space):
+    """_filter_family by the radial rule of F^m_{tau,2} on the domain."""
+    return _filter_family(
+        family,
+        lambda u: f_space_membership_radial(u.beta, max(u.lam, 0.0),
+                                            float(m), tau, domain.ell,
+                                            domain.d).member,
+        f"not in {space} by the radial rule")
+
+
+def _sequence_norms(family, m, tau, J):
+    """The wavelet route: the system of smoothness m, the box from the
+    members' R, and f_sequence_norm of each member's level-J transform.
+
+    The wavelet functions are looked up on the module at call time, so
+    that wrappers set on klab.wavelets see every call.
+    """
+    from . import wavelets
+    system = wavelets.build_wavelet_system(m)
+    half = max(int(math.ceil(2 * max(u.R for u in family))), 1)
+    d = family[0].domain.d
+    box = ((-float(half),) * d, (float(half),) * d)
+    seqs = []
+    # a loop, not one nested comprehension: freeing each grid before the
+    # next transform lowers the peak memory, but measured slower, with
+    # more page faults and system time
+    for u in family:
+        grid = wavelets.wavelet_coefficients(u, system, J, box)
+        seqs.append(wavelets.f_sequence_norm(grid, s=float(m), tau=tau))
+    return system, box, seqs
+
+
 def _ratio_report(kept, excluded, num_kind, den_kind, pairs, bound,
                   notes=None):
     ratios = [n / d for n, d in pairs]
@@ -339,13 +378,10 @@ def _ratio_report(kept, excluded, num_kind, den_kind, pairs, bound,
 # Experiments
 # ---------------------------------------------------------------------------
 
-def check_norm_equivalence_Kmm(family, m, p, domain, cover=None,
+def check_norm_equivalence_Kmm(family, m, p, domain, cover,
                                nodes_per_dim=norms.DEFAULT_NODES):
     """K^m_{m,p} vs the weighted refined-localization norm (same space)."""
-    cover = cover or standard_cover(domain)
-    kept, excluded = _filter_family(
-        family, lambda u: kondratiev_membership(u, m, m, p).member,
-        "not in K^m_{m,p} by the exponent oracle")
+    kept, excluded = _in_kondratiev(family, m, m, p, "K^m_{m,p}")
     params = SpaceParams(m=m, a=m, p=p, d=domain.d, ell=domain.ell, tau=p)
     pairs = [_norm_values([kondratiev_terms(u, params),
                            rloc_weighted_terms(u, params)],
@@ -354,13 +390,10 @@ def check_norm_equivalence_Kmm(family, m, p, domain, cover=None,
                          pairs, SPREAD_SAME_INTEGRABILITY)
 
 
-def check_sharp_norm(family, m, a, p, domain, cover=None,
+def check_sharp_norm(family, m, a, p, domain, cover,
                      nodes_per_dim=norms.DEFAULT_NODES):
     """Two-term sharp norm vs the full Kondratiev norm."""
-    cover = cover or standard_cover(domain)
-    kept, excluded = _filter_family(
-        family, lambda u: kondratiev_membership(u, m, a, p).member,
-        "not in K^m_{a,p} by the exponent oracle")
+    kept, excluded = _in_kondratiev(family, m, a, p)
     params = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
     pairs = [_norm_values([sharp_terms(u, params), kondratiev_terms(u, params)],
                           cover, nodes_per_dim) for u in kept]
@@ -377,9 +410,7 @@ def check_localization(family, m, a, p, cover, pou,
     kondratiev_piece_power call per non-empty level of the cover.
     """
     domain = cover.domain
-    kept, excluded = _filter_family(
-        family, lambda u: kondratiev_membership(u, m, a, p).member,
-        "not in K^m_{a,p} by the exponent oracle")
+    kept, excluded = _in_kondratiev(family, m, a, p)
     params = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
     globs = _norm_values([kondratiev_terms(u, params) for u in kept], cover,
                          nodes_per_dim)
@@ -394,13 +425,10 @@ def check_localization(family, m, a, p, cover, pou,
                          SPREAD_SAME_INTEGRABILITY)
 
 
-def check_rho_power_isomorphism(family, m, a, a2, p, domain, cover=None,
+def check_rho_power_isomorphism(family, m, a, a2, p, domain, cover,
                                 nodes_per_dim=norms.DEFAULT_NODES):
     """The multiplication map u -> rho^{a2-a} u between weight classes."""
-    cover = cover or standard_cover(domain)
-    kept, excluded = _filter_family(
-        family, lambda u: kondratiev_membership(u, m, a, p).member,
-        "not in K^m_{a,p} by the exponent oracle")
+    kept, excluded = _in_kondratiev(family, m, a, p)
     pin = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
     pout = SpaceParams(m=m, a=a2, p=p, d=domain.d, ell=domain.ell)
     pairs = [_norm_values([kondratiev_terms(multiply_by_rho_power(u, a2 - a),
@@ -412,7 +440,7 @@ def check_rho_power_isomorphism(family, m, a, a2, p, domain, cover=None,
                          SPREAD_SAME_INTEGRABILITY)
 
 
-def check_embedding_ratio(params, family, cover=None, J=10,
+def check_embedding_ratio(params, family, cover, J=10,
                           nodes_per_dim=norms.DEFAULT_NODES):
     """Embedding K^m_{a,p} -> F^{m,rloc}_{tau,2}: ratio boundedness.
 
@@ -429,34 +457,20 @@ def check_embedding_ratio(params, family, cover=None, J=10,
     verdict = decide_embedding(m, a, p, tau, domain.d, domain.ell)
     if verdict.outcome != HOLDS:
         raise InvalidParams(f"embedding does not hold: {verdict.trigger}")
-    kept, excluded = _filter_family(
-        family, lambda u: kondratiev_membership(u, m, a, p).member,
-        "not in K^m_{a,p} by the exponent oracle")
-    cover = cover or standard_cover(domain)
+    kept, excluded = _in_kondratiev(family, m, a, p)
     notes = {"verdict": verdict.to_json()}
-    pairs = []
-    if tau > 1:
-        fpar = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell, tau=tau)
-        pairs = [_norm_values([rloc_weighted_terms(u, fpar),
-                               kondratiev_terms(u, params)],
-                              cover, nodes_per_dim) for u in kept]
-    else:
-        from .wavelets import (build_wavelet_system, wavelet_coefficients,
-                               f_sequence_norm)
-        system = build_wavelet_system(m)
+    pairs = [_norm_values([rloc_weighted_terms(u, params) if tau > 1
+                           else weighted_lp_terms(u, -m, tau),
+                           kondratiev_terms(u, params)], cover, nodes_per_dim)
+             for u in kept]
+    if tau <= 1:
+        system, _, seqs = _sequence_norms(kept, m, tau, J)
         notes["waveletOrder"] = system.order
-        half = max(int(math.ceil(2 * max(u.R for u in kept))), 1)
-        box = ((-float(half),) * domain.d, (float(half),) * domain.d)
-        tails = []
-        for u in kept:
-            grid = wavelet_coefficients(lambda x: u(x), system, J, box)
-            seq = f_sequence_norm(grid, s=float(m), tau=tau)
-            low, den = _norm_values([weighted_lp_terms(u, -m, tau),
-                                     kondratiev_terms(u, params)],
-                                    cover, nodes_per_dim)
-            pairs.append((seq.value + low, den))
-            tails.append(tail_share([v ** tau for _, v in seq.truncations]))
-        notes["tailShares"] = tails
+        pairs = [(seq.value + low, den)
+                 for seq, (low, den) in zip(seqs, pairs)]
+        notes["tailShares"] = [tail_share([v ** tau
+                                           for _, v in seq.truncations])
+                               for seq in seqs]
     report = _ratio_report(kept, excluded, f"rloc_weighted(tau={tau})",
                            f"kondratiev(p={p})", pairs,
                            SPREAD_CROSS_INTEGRABILITY, notes)
@@ -547,27 +561,20 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam):
                             notes=notes)
 
 
-def check_derivative_mapping(family, m, alpha, p, domain, cover=None,
+def check_derivative_mapping(family, m, alpha, p, domain, cover,
                              nodes_per_dim=norms.DEFAULT_NODES):
     """||d^alpha u|F^{m-|alpha|,rloc}|| <= c ||u|F^{m,rloc}|| ratios."""
-    cover = cover or standard_cover(domain)
     k = sum(alpha)
     if m - k < 1:
         raise InvalidParams("need m - |alpha| >= 1")
-    kept, excluded = _filter_family(
-        family,
-        lambda u: f_space_membership_radial(u.beta, max(u.lam, 0.0),
-                                            float(m), p, domain.ell,
-                                            domain.d).member,
-        "not in F^{m,rloc} by the radial rule")
+    kept, excluded = _in_f_space(family, m, p, domain, "F^{m,rloc}")
     pairs = []
     for u in kept:
         du = DerivativeFunction(u, alpha)
-        ns, nw, ds, dw = _norm_values(
-            [sobolev_terms(du, m - k, p), weighted_lp_terms(du, -(m - k), p),
-             sobolev_terms(u, m, p), weighted_lp_terms(u, -m, p)],
-            cover, nodes_per_dim)
-        pairs.append((ns + nw, ds + dw))
+        pairs.append(_norm_values(
+            [sobolev_terms(du, m - k, p) + weighted_lp_terms(du, -(m - k), p),
+             sobolev_terms(u, m, p) + weighted_lp_terms(u, -m, p)],
+            cover, nodes_per_dim))
     return _ratio_report(kept, excluded, f"rloc(m-{k}) of derivative",
                          "rloc(m)", pairs, SPREAD_CROSS_INTEGRABILITY)
 
@@ -579,15 +586,21 @@ DIFFEO_CATALOG = {
 }
 
 
-def check_diffeo_invariance(u, diffeo, m, p, cover=None,
+def check_diffeo_invariance(u, diffeo, m, p, cover,
                             nodes_per_dim=norms.DEFAULT_NODES):
     """Pullback along a catalog diffeomorphism: rloc norm ratio within the
     catalog-stored bound; for isometries the weighted term is exactly
-    invariant (node set maps onto itself)."""
+    invariant (node set maps onto itself).
+
+    The catalog's maps are linear maps of the plane that fix the vertex, so
+    u must live on ModelDomain(2, 0); other domains raise InvalidParams.
+    """
     if diffeo not in DIFFEO_CATALOG:
         raise InvalidParams(f"unknown diffeomorphism {diffeo!r}")
+    if u.domain != ModelDomain(2, 0):
+        raise InvalidParams("the diffeomorphism catalog acts on "
+                            "ModelDomain(2, 0) only")
     entry = DIFFEO_CATALOG[diffeo]
-    cover = cover or standard_cover(u.domain)
     v = PulledBackFunction(u, entry["matrix"])
     num_s, num_w, den_s, den_w = _norm_values(
         [sobolev_terms(v, m, p), weighted_lp_terms(v, -m, p),
@@ -603,16 +616,14 @@ def check_diffeo_invariance(u, diffeo, m, p, cover=None,
                        spread_bound=hi / lo, notes=notes)
 
 
-def _sector_cover(j_max=12, size=4):
+def _sector_cover(j_max):
     """Whitney cover of the quarter plane with vertex singularity at 0."""
-    domain = ModelDomain(2, 0)
-    return whitney_cover(domain, ((0, 0), (size, size)), j_max)
+    return whitney_cover(ModelDomain(2, 0), ((0, 0), (4, 4)), j_max)
 
 
-def check_cone_localization(u, m, a, p, cover=None,
+def check_cone_localization(u, m, a, p, cover,
                             nodes_per_dim=norms.DEFAULT_NODES):
     """Dyadic annular localization on a planar sector (quarter plane)."""
-    cover = cover or _sector_cover()
     domain = cover.domain
     params = SpaceParams(m=m, a=a, p=p, d=domain.d, ell=domain.ell)
     js = range(-3, max(cover.levels) + 2)
@@ -633,33 +644,27 @@ def check_cone_localization(u, m, a, p, cover=None,
                        spread_bound=SPREAD_SAME_INTEGRABILITY, notes=notes)
 
 
-def check_scaling_homogeneity(u, m, p, k, cover=None,
+def check_scaling_homogeneity(u, m, p, k, cover,
                               nodes_per_dim=norms.DEFAULT_NODES):
     """Change-of-variables identity for the top-order seminorm.
 
     sum_{|alpha|=m} ||d^alpha u(2^k .)||_p^p over the dilated cover equals
-    2^{k(mp-d)} times the same sum for u: dyadic dilations map quadrature
-    nodes and weights exactly, so the identity holds to rounding.
+    2^{k(mp-d)} times the same sum for u.  The dilated cover is the cover
+    with each level j moved to j + k: its quadrature nodes and weights are
+    the cover's scaled by powers of 2, exactly, so the identity holds to
+    rounding.
     """
-    from .jets import multi_indices
-    domain = u.domain
-    cover = cover or standard_cover(domain)
-    d = domain.d
+    d = u.domain.d
     uk = PulledBackFunction(u, 2.0 ** k * np.eye(d))
-    top = [al for al in multi_indices(d, m) if sum(al) == m]
-    rhs = 0.0
-    lhs = 0.0
-    for j in sorted(cover.levels):
-        pts, wts = norms.level_nodes(cover, j, nodes_per_dim)
-        if not wts.size:
-            continue
-        jet = u.jet(pts, order=m)
-        spts = pts * 2.0 ** -k
-        swts = wts * 2.0 ** (-k * d)
-        sjet = uk.jet(spts, order=m)
-        for al in top:
-            rhs += float(np.sum(np.abs(jet.derivative(al)) ** p * wts))
-            lhs += float(np.sum(np.abs(sjet.derivative(al)) ** p * swts))
+    dilated = replace(cover, levels={j + k: ks
+                                     for j, ks in cover.levels.items()})
+
+    def seminorm_power(f, cov):
+        term = (f, m, m, lambda rho, al, v: np.abs(v) ** p, 1.0)
+        return _norm_values([[term]], cov, nodes_per_dim)[0]
+
+    rhs = seminorm_power(u, cover)
+    lhs = seminorm_power(uk, dilated)
     factor = 2.0 ** (k * (m * p - d))
     rel = _scaling_error(lhs, factor, rhs)
     return {"k": k, "m": m, "p": p, "predictedFactor": factor,
@@ -702,10 +707,10 @@ def check_truth_table(n=200, seed=20260826):
             "passed": not mismatches, "rows": rows}
 
 
-def check_partition_diagnostics(domain, box=None, j_max=8, n_points=10000,
+def check_partition_diagnostics(domain, j_max=8, n_points=10000,
                                 seed=20260826):
     """Partition sums, certificate exactness, and level-count growth."""
-    box = box or ((-2,) * domain.d, (2,) * domain.d)
+    box = ((-2,) * domain.d, (2,) * domain.d)
     cover = whitney_cover(domain, box, j_max)
     pou = PartitionOfUnity(cover)
     rng = np.random.default_rng(seed)
@@ -785,32 +790,22 @@ def check_dual_route(family=None, m=1, tau=1.5, J=9, j_max=12,
     its squared L_2 norm.  The Sobolev norms of all members and the L_2
     norm of the cutoff come from one pass over the cover.
     """
-    from .wavelets import (build_wavelet_system, wavelet_coefficients,
-                           f_sequence_norm)
+    from . import wavelets
     domain = ModelDomain(2, 0)
-    family = family or default_family(domain)
-    kept, excluded = _filter_family(
-        family,
-        lambda u: f_space_membership_radial(u.beta, max(u.lam, 0.0),
-                                            float(m), tau, domain.ell,
-                                            domain.d).member,
-        "not in F^m_{tau,2} by the radial rule")
+    if family is None:
+        family = default_family(domain)
+    kept, excluded = _in_f_space(family, m, tau, domain, "F^m_{tau,2}")
     cover = standard_cover(domain, radius=3, j_max=j_max)
-    system = build_wavelet_system(m)
-    half = max(int(math.ceil(2 * max(u.R for u in kept))), 1)
-    box = ((-float(half),) * domain.d, (float(half),) * domain.d)
     zeta = make_test_function(0.0, 0.0, 1.0, domain)
     *sobs, l2 = _norm_values([sobolev_terms(u, m, tau) for u in kept]
                              + [weighted_lp_terms(zeta, 0.0, 2.0)],
                              cover, nodes_per_dim)
-    pairs = []
-    for u, sob in zip(kept, sobs):
-        grid = wavelet_coefficients(lambda x: u(x), system, J, box)
-        pairs.append((f_sequence_norm(grid, s=float(m), tau=tau).value, sob))
+    system, box, seqs = _sequence_norms(kept, m, tau, J)
     report = _ratio_report(kept, excluded, "f_sequence_norm",
-                           "sobolev_norm", pairs,
+                           "sobolev_norm",
+                           [(seq.value, sob) for seq, sob in zip(seqs, sobs)],
                            SPREAD_CROSS_INTEGRABILITY)
-    grid = wavelet_coefficients(lambda x: zeta(x), system, parseval_J, box)
+    grid = wavelets.wavelet_coefficients(zeta, system, parseval_J, box)
     parseval_rel = abs(grid.sum_of_squares() - l2 ** 2) / l2 ** 2
     report.notes["parsevalRelativeError"] = parseval_rel
     report.passed = report.passed and parseval_rel < 0.01
@@ -875,10 +870,6 @@ def _exp_classification_grid():
     return GridReport(check_classification_grid())
 
 
-def _exp_dual_route():
-    return check_dual_route()
-
-
 EXPERIMENTS = {
     "truth-table": _exp_truth_table,
     "norm-equivalence": _exp_norm_equivalence,
@@ -888,5 +879,5 @@ EXPERIMENTS = {
     "scaling": _exp_scaling,
     "geometry": _exp_geometry,
     "classification-grid": _exp_classification_grid,
-    "dual-route": _exp_dual_route,
+    "dual-route": check_dual_route,
 }

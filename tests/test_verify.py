@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from klab import norms, testfns
+from klab import norms, testfns, wavelets
 from klab.errors import EmptyFamily, InvalidParams
 from klab.geometry import ModelDomain, PartitionOfUnity
 from klab.norms import SpaceParams
@@ -78,6 +78,47 @@ def test_one_jet_per_slice_for_all_norms_of_a_member(dom, monkeypatch):
     assert len(calls) == slices
 
 
+def test_embedding_ratio_above_one_takes_the_sobolev_route(dom, cover):
+    # tau > 1: the smoothness term is the W^m_tau norm, no wavelets
+    params = SpaceParams(m=1, a=1.0, p=2.0, d=2, ell=0, tau=1.5)
+    fam = default_family(dom, betas=(1.2, 1.5, 2.0), lambdas=(0.0,))
+    r = check_embedding_ratio(params, fam, cover=cover)
+    assert r.passed and len(r.ratios) == 3
+    assert all(np.isfinite(x) for x in r.ratios)
+    assert "tailShares" not in r.notes and "waveletOrder" not in r.notes
+
+
+def test_wavelet_route_looks_the_transforms_up_at_call_time(dom, cover,
+                                                            monkeypatch):
+    # one transform and one square function per kept member, found on the
+    # module when the check runs, so a wrapper set there (as perfbench's
+    # tracer sets one) sees each call
+    calls = {"wavelet_coefficients": 0, "f_sequence_norm": 0}
+
+    def counting(name):
+        inner = getattr(wavelets, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(wavelets, name, counting(name))
+    params = SpaceParams(m=2, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
+    fam = default_family(dom, betas=(1.2, 2.0), lambdas=(0.0,))
+    r = check_embedding_ratio(params, fam, cover=cover, J=4, nodes_per_dim=2)
+    assert len(r.ratios) == 2
+    assert calls == {"wavelet_coefficients": 2, "f_sequence_norm": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    # the dual route adds the cutoff's Parseval transform
+    r = check_dual_route(J=4, j_max=5, nodes_per_dim=2, parseval_J=4)
+    kept = len(r.ratios)
+    assert kept > 1
+    assert calls == {"wavelet_coefficients": kept + 1,
+                     "f_sequence_norm": kept}
+
+
 def test_dual_route_takes_all_cover_norms_from_one_pass(monkeypatch):
     # the Sobolev norms of every kept member of the default family and the
     # cutoff's L_2 norm come from one integral ladder
@@ -130,6 +171,9 @@ def test_empty_family_raises(dom, cover):
         check_embedding_ratio(params, bad, cover=cover, J=4)
     with pytest.raises(EmptyFamily):
         check_dual_route(bad)
+    # only None means the default family
+    with pytest.raises(EmptyFamily):
+        check_dual_route([])
 
 
 def test_divergence_log_case():
@@ -228,6 +272,12 @@ def test_diffeo_unknown_name(dom, cover):
     u = make_test_function(1.2, 0.0, 1.0, dom)
     with pytest.raises(InvalidParams):
         check_diffeo_invariance(u, "squeeze", 1, 2.0, cover)
+    # the catalog's maps act on the plane with the vertex removed: in 3D
+    # they do not fit, and a rotation moves the singular line of (2, 1)
+    for other in (ModelDomain(3, 0), ModelDomain(2, 1)):
+        v = make_test_function(1.2, 0.0, 1.0, other)
+        with pytest.raises(InvalidParams):
+            check_diffeo_invariance(v, "rotation", 1, 2.0, cover)
 
 
 def test_cone_localization():
