@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -120,17 +119,15 @@ def _cmd_adaptivity(args):
 
 
 def _cmd_norm(args):
-    from .geometry import ModelDomain, PartitionOfUnity, whitney_cover
+    from .geometry import ModelDomain, PartitionOfUnity
     from .norms import (SpaceParams, cover_norms, kondratiev_terms,
                         rloc_norm_localized, rloc_weighted_terms, sharp_terms,
                         sobolev_terms)
     from .testfns import make_test_function, kondratiev_membership
-    from .verify import SummaryReport
+    from .verify import SummaryReport, standard_cover
     domain = ModelDomain(args.d, args.ell)
     u = make_test_function(args.beta, args.lam, args.R, domain)
-    r = max(int(math.ceil(2 * args.R)), 1)
-    cover = whitney_cover(domain, ((-r,) * args.d, (r,) * args.d),
-                          args.j_max)
+    cover = standard_cover(domain, 2 * args.R, args.j_max)
     params = SpaceParams(m=args.m, a=args.a, p=args.p, d=args.d,
                          ell=args.ell, tau=args.tau)
     member = kondratiev_membership(u, args.m, args.a, args.p).member
@@ -153,12 +150,10 @@ def _cmd_norm(args):
 
 
 def _cmd_whitney(args):
-    from .geometry import ModelDomain, whitney_cover
-    from .verify import CoverReport
+    from .geometry import ModelDomain
+    from .verify import CoverReport, standard_cover
     domain = ModelDomain(args.d, args.ell)
-    r = args.radius
-    cover = whitney_cover(domain, ((-r,) * args.d, (r,) * args.d),
-                          args.j_max)
+    cover = standard_cover(domain, args.radius, args.j_max)
     return _emit(args, "whitney", _run_config(args), CoverReport(cover))
 
 

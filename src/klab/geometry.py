@@ -6,7 +6,6 @@ by level; the frozen certificate constants are ``C1 = 1`` (lower),
 ``C2 = 4 sqrt(d)`` (upper) and ``C0_LEVEL0 = 1`` for the coarsest level.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -63,22 +62,13 @@ def regularized_distance_from_jets(coords, domain):
     return raw.compose(CAP.derivs(raw.value, raw.order))
 
 
-def regularized_distance_jet(x, domain, order=MAX_ORDER):
-    """Jet of rho = eta(|x''|) at points x of shape (d, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return regularized_distance_from_jets(Jet.variables(x, order), domain)
-
-
 def regularized_distance(x, domain):
-    """rho(x) in (0, 1]; equals the exact distance below the cap knee."""
+    """rho(x) in (0, 1]; equals the exact distance below the cap knee.
+    The value of the order-0 jet, at points x of shape (d, n) or (n, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != domain.d:
         x = x.T
-    raw = domain.distance(x)
-    if np.any(raw == 0.0):
-        raise SingularPoint("point lies on the singular set")
-    out = CAP(raw)
-    return out if out.ndim else float(out)
+    return regularized_distance_from_jets(Jet.variables(x, 0), domain).value
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +97,6 @@ class WhitneyCover:
     def box_volume(self):
         lo, hi = self.box
         return float(np.prod(np.asarray(hi) - np.asarray(lo)))
-
-    def to_json(self):
-        records = []
-        for j in sorted(self.levels):
-            ks = self.levels[j]
-            ds = self.dists[j]
-            order = np.lexsort(ks.T[::-1]) if len(ks) else []
-            for i in order:
-                records.append({"level": int(j),
-                                "k": [int(v) for v in ks[i]],
-                                "dist": float(ds[i])})
-        return json.dumps({"box": [list(self.box[0]), list(self.box[1])],
-                           "c1": self.c1, "c2": self.c2,
-                           "j_max": self.j_max, "cubes": records})
 
 
 def whitney_cover(domain, box, j_max):

@@ -232,9 +232,12 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
     A norm is a list of terms (u, lo, hi, density, p): the sum over them of
     (sum_{lo <= |alpha| <= hi} int density(rho, alpha, d^alpha u))^{1/p}.
     Each u gets one jet per slice, at the highest order its terms need.
+    `oracles`, if given, holds one membership oracle per norm.
     """
     if not norms:
         return []
+    if oracles is not None and len(oracles) != len(norms):
+        raise InvalidParams(f"{len(oracles)} oracles for {len(norms)} norms")
     terms = [t for norm in norms for t in norm]
     order = {}
     for u, _, hi, _, _ in terms:
@@ -272,7 +275,8 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
     int_{2Q} sum_{|alpha|<=m} density(rho, alpha, d^alpha(phi_{j,k} u)).
 
     Each piece is integrated on its doubled cube with a tensor rule; phi is
-    bump/psi, well defined on the open doubled cube (psi >= own bump > 0).
+    `PartitionOfUnity.phi_jet`, bump/psi, well defined on the open doubled
+    cube (psi >= own bump > 0).
     The nodes of all cubes are evaluated together, SLICE_NODES at a
     time, with per-point cube keys for the bumps.
     """
@@ -287,9 +291,8 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
         low = (kk - 0.5) * side
         pts = (low.T[:, :, None] + 2.0 * side * unit[:, None, :]).reshape(d, -1)
         w = np.tile(wts * (2.0 * side) ** d, len(kk))
-        bump = pou.bump_jet(j, np.repeat(kk.T, n, axis=1), pts, order=m)
-        psi = pou.psi_jet(pts, order=m)
-        piece = (bump / psi) * u.jet(pts, order=m)
+        piece = (pou.phi_jet(j, np.repeat(kk.T, n, axis=1), pts, m)
+                 * u.jet(pts, order=m))
         rho = regularized_distance(pts, pou.cover.domain)
         for alpha in multi_indices(d, m):
             total += float(np.sum(density(rho, alpha,

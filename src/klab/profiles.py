@@ -177,9 +177,6 @@ class DistanceCap:
             out.append(c[0][idx] + x * b1 - b2)
         return out
 
-    def __call__(self, t):
-        return self.derivs(t, order=0)[0]
-
 
 class Plateau:
     """S(a t + b_rise) for t < split, 1 - S(a t + b_fall) from split on; with

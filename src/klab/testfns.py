@@ -24,9 +24,9 @@ BOUNDARY_TOL = 1e-12   # |critical exponent| at most this is the equality case
 class MembershipVerdict:
     """Exact classification of a radial-integral membership question.
 
-    `critical_exponent` is the number whose sign (Kondratiev case) or whose
-    comparison against the smoothness s (F-space case) decides membership;
-    `boundary_case` marks the equality case, where the log power governs.
+    `critical_exponent` is the number whose sign decides membership (in the
+    F-space case the critical smoothness minus s); `boundary_case` marks the
+    equality case, where the log power governs.
     """
 
     member: bool
@@ -135,13 +135,8 @@ def f_space_membership_radial(beta, gamma, s, p, ell, d):
     """
     if not (0 < p < np.inf):
         raise InvalidParams("p must lie in (0, inf)")
-    crit = (d - ell) / p + beta
-    boundary = abs(s - crit) <= BOUNDARY_TOL
-    if boundary and gamma < 0:
+    verdict = classify_radial_exponent((d - ell) / p + beta - s, gamma * p)
+    if verdict.boundary_case and gamma < 0:
         raise UndeterminedByPaper(
             "equality case with negative log power is outside the proved range")
-    if boundary:
-        member = gamma * p < -1.0  # unreachable for gamma >= 0, p > 0
-    else:
-        member = s < crit
-    return MembershipVerdict(bool(member), float(crit), bool(boundary))
+    return verdict

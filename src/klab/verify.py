@@ -193,8 +193,9 @@ class CoverReport:
 
     def csv_rows(self):
         yield ("level", "k", "dist")
-        for rec in json.loads(self.cover.to_json())["cubes"]:
-            yield (rec["level"], " ".join(map(str, rec["k"])), rec["dist"])
+        for j in sorted(self.cover.levels):
+            for k, dist in zip(self.cover.levels[j], self.cover.dists[j]):
+                yield (j, " ".join(map(str, k)), float(dist))
 
     @staticmethod
     def recompute(rows):
@@ -502,14 +503,14 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam):
     u_lam = rho^{m - (d-delta)/tau} (1 + |log rho|)^lam: the truncated power
     ||rho^{-m} u_lam||^tau_{L_tau(rho>eps)} reduces to
     int_eps^R t^{e}(1+|log t|)^{lam*tau} dt with e = (beta-m)tau + d-delta-1;
-    its growth in eps is fitted against the predicted law.
+    its growth in eps is fitted against (1 + log(1/eps))^{1 + lam tau}.
     """
     beta = m - (d - delta) / tau
-    # e_t: the exponent in classify_radial_exponent's form t^(e_t - 1)
-    e_t = (beta - m) * tau + (d - delta)
-    e = e_t - 1
+    # -1 by the choice of beta; recomputed from beta, e rounds off the
+    # critical line for large tau
+    e = -1.0
     g = lam * tau
-    verdict = classify_radial_exponent(e_t, g)
+    verdict = classify_radial_exponent(0.0, g)
     notes = {"beta": beta, "radialExponent": e, "logPower": g,
              "critical": verdict.boundary_case}
     ladder = [(2.0 ** -k, radial_reference_integral(e, g, FAMILY_R, 2.0 ** -k))
@@ -522,15 +523,9 @@ def check_counterexample_divergence(m, a, p, tau, d, delta, lam):
                                 predicted_exponent=0.0, residual=0.0,
                                 kondratiev_cauchy=True, passed=False,
                                 notes=notes)
-    if verdict.boundary_case:
-        predicted = 1.0 + g
-        xs = 1.0 + np.log(1.0 / eps)
-        notes["law"] = "(1 + log(1/eps))^c"
-    else:
-        predicted = -(e + 1.0)
-        xs = 1.0 / eps
-        notes["law"] = "eps^{-c}"
-    fitted, residual = _fit_growth(xs, vals, predicted)
+    predicted = 1.0 + g
+    notes["law"] = "(1 + log(1/eps))^c"
+    fitted, residual = _fit_growth(1.0 + np.log(1.0 / eps), vals, predicted)
 
     # Kondratiev-side Cauchy check, also via the radial reduction: the worst
     # norm term is int t^{(beta-a)p + d-delta-1} (1+|log t|)^{lam p} dt.

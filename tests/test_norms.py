@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from klab import norms
-from klab.errors import Unsupported
+from klab.errors import InvalidParams, Unsupported
 from klab.geometry import (ModelDomain, PartitionOfUnity,
                            regularized_distance, whitney_cover)
 from klab.jets import multi_indices
@@ -52,6 +52,14 @@ def test_weighted_l2_matches_polar_reference(dom, cover):
     ref, _ = reference_lp_power(u, 0.0, 2.0)
     assert nv.value ** 2 == pytest.approx(ref, rel=1e-6)
     assert nv.classification == FINITE
+
+
+def test_cover_norms_needs_one_oracle_per_norm(dom, cover):
+    # zip would drop the second norm without a value
+    u = make_test_function(1.0, 0.0, 1.0, dom)
+    with pytest.raises(InvalidParams):
+        cover_norms([weighted_lp_terms(u, 0.0, 2.0)] * 2, cover,
+                    oracles=[True])
 
 
 def test_weighted_norm_with_negative_weight(dom, cover):

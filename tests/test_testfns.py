@@ -50,6 +50,7 @@ def test_jet_matches_finite_difference(dom):
 
 def _assert_singular_point_raises(dom):
     from klab.errors import SingularPoint
+    from klab.geometry import regularized_distance
     from klab.verify import PulledBackFunction
     u = make_test_function(0.5, 0.0, 1.0, dom)
     pulled = PulledBackFunction(u, [[1.0, 1.0], [1.0, 1.0]])
@@ -57,6 +58,8 @@ def _assert_singular_point_raises(dom):
         v = make_test_function(0.5, 0.0, 1.0, domain)
         with pytest.raises(SingularPoint):
             v(np.zeros((domain.d, 1)))
+        with pytest.raises(SingularPoint):
+            regularized_distance(np.zeros((domain.d, 1)), domain)
         with pytest.raises(SingularPoint):
             v.jet(np.zeros((domain.d, 1)), order=2)
     with pytest.raises(SingularPoint):
@@ -130,6 +133,7 @@ def test_membership_monotone_in_weight(beta, a, p):
 def test_f_radial_rule(beta, gamma, s, p, ell, d, member):
     v = f_space_membership_radial(beta, gamma, s, p, ell, d)
     assert v.member is member
+    assert v.critical_exponent == (d - ell) / p + beta - s
 
 
 def test_f_radial_boundary_negative_log_is_undetermined():

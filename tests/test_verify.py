@@ -192,15 +192,33 @@ def test_divergence_power_case():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("tau", [0.7, 1.4])
 def test_divergence_critical_line_with_rounded_exponent(m, tau):
-    # a = m - d(1/tau - 1/p) with d = 3: the radial exponent comes out as
-    # -0.9999999999999996, which must still take the log-growth law
+    # a = m - d(1/tau - 1/p) with d = 3: recomputed from beta, the radial
+    # exponent came out as -0.9999999999999996; it is -1 by construction
     d, p, lam = 3, 2.0, -0.7
     r = check_counterexample_divergence(m, m - d * (1 / tau - 1 / p), p, tau,
                                         d, 0, lam)
-    assert r.notes["radialExponent"] != -1.0
+    assert r.notes["radialExponent"] == -1.0
     assert r.notes["critical"] and "flag" not in r.notes
     assert r.passed
     assert r.fitted_exponent == pytest.approx(1.0 + lam * tau, abs=1e-4)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.7])
+def test_divergence_critical_line_at_large_tau(lam):
+    # m = 4, tau = 1e4, d = 3: recomputing the radial exponent from beta
+    # gave -1.89e-12, off the line by more than BOUNDARY_TOL, and a
+    # vacuous eps^{-c} fit; on the line lam = 0 is the log law of exponent
+    # 1, and lam tau = -7000 < -1 makes the weighted power finite
+    m, tau, d = 4, 1e4, 3
+    r = check_counterexample_divergence(m, 0.0, 2.0, tau, d, 0, lam)
+    assert r.notes["radialExponent"] == -1.0 and r.notes["critical"]
+    if lam == 0.0:
+        assert r.passed and "flag" not in r.notes
+        assert r.notes["law"] == "(1 + log(1/eps))^c"
+        assert r.predicted_exponent == 1.0
+        assert r.fitted_exponent == pytest.approx(1.0, abs=1e-4)
+    else:
+        assert "flag" in r.notes and not r.passed
 
 
 @pytest.mark.parametrize("d,delta", [(3, 1), (2, 1), (3, 2)])
