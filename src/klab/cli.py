@@ -157,24 +157,30 @@ def _cmd_whitney(args):
     return _emit(args, "whitney", _run_config(args), CoverReport(cover))
 
 
+DIVERGENCE_FLAGS = ("m", "a", "p", "tau", "d", "delta", "lam")
+
+
 def _cmd_verify(args):
-    from .verify import EXPERIMENTS, check_counterexample_divergence
-    name = args.name
-    if name in ("counterexample", "divergence") and args.m is not None:
-        report = check_counterexample_divergence(
-            m=args.m, a=args.a if args.a is not None else 0.0,
-            p=args.p if args.p is not None else 2.0,
-            tau=args.tau if args.tau is not None else 1.0,
-            d=args.d, delta=args.delta,
-            lam=args.lam if args.lam is not None else 0.0)
-        name = "divergence"
-    elif name in EXPERIMENTS:
-        report = EXPERIMENTS[name]()
-    else:
+    """Run a registry entry.  The flags given override the divergence
+    entry's own defaults; no other entry takes them."""
+    import inspect
+    from .verify import EXPERIMENTS
+    name = "divergence" if args.name == "counterexample" else args.name
+    if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; known: "
               f"{', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return EXIT_INVALID
-    return _emit(args, name, _run_config(args), report)
+    given = {k: getattr(args, k) for k in DIVERGENCE_FLAGS
+             if getattr(args, k) is not None}
+    if name == "divergence":
+        bound = inspect.signature(EXPERIMENTS[name]).bind(**given)
+        bound.apply_defaults()
+        vars(args).update(bound.arguments)   # the report records all seven
+    elif given:
+        print(f"only divergence takes --m, --a, --p, --tau, --d, --delta "
+              f"and --lambda, not {name}", file=sys.stderr)
+        return EXIT_INVALID
+    return _emit(args, name, _run_config(args), EXPERIMENTS[name](**given))
 
 
 def _cmd_report(args):
@@ -286,8 +292,8 @@ def build_parser():
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--delta", type=int, default=0)
+    sp.add_argument("--d", type=int, default=None)
+    sp.add_argument("--delta", type=int, default=None)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=_cmd_verify)

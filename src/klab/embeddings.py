@@ -15,6 +15,17 @@ HOLDS = "Holds"
 FAILS = "Fails"
 UNDETERMINED = "UndeterminedByPaper"
 
+BOUNDARY_TOL = 1e-12   # |lhs - rhs| at most this is the equality case
+
+
+def compare(lhs, rhs):
+    """-1, 0 or 1 as lhs is below, equal to or above rhs, where equal means
+    |lhs - rhs| <= BOUNDARY_TOL.  Every printed inequality is decided
+    through it, so that no verdict flips on rounding noise."""
+    if abs(lhs - rhs) <= BOUNDARY_TOL:
+        return 0
+    return 1 if lhs > rhs else -1
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -25,6 +36,12 @@ class Verdict:
     def to_json(self):
         return {"outcome": self.outcome, "trigger": self.trigger,
                 "conditionValues": self.condition_values}
+
+
+def _verdict(outcome, trigger, values, boundary_case):
+    """A Verdict whose condition values record `boundaryCase`: whether a
+    comparison that decided it was an equality case."""
+    return Verdict(outcome, trigger, {**values, "boundaryCase": boundary_case})
 
 
 @dataclass(frozen=True)
@@ -64,21 +81,25 @@ def decide_embedding(m, a, p, tau, d, delta):
     bound = (d - delta) * (1.0 / tau - 1.0 / p)
     values = {"m": m, "a": a, "p": p, "tau": tau, "d": d, "delta": delta,
               "sigma": sig, "m_minus_a": m - a, "bound": bound}
-    if m <= sig:
-        return Verdict(FAILS, "m <= sigma_{tau,2}: target space guard",
-                       values)
-    if tau > p:
-        return Verdict(FAILS, "Lemma 4.2: embedding implies tau <= p", values)
-    if tau == p:
-        if m <= a:
-            return Verdict(HOLDS, "tau = p and m <= a", values)
-        return Verdict(FAILS, "tau = p requires m <= a", values)
+    guard = compare(m, sig)
+    if guard <= 0:
+        return _verdict(FAILS, "m <= sigma_{tau,2}: target space guard",
+                        values, guard == 0)
+    side = compare(tau, p)
+    if side > 0:
+        return _verdict(FAILS, "Lemma 4.2: embedding implies tau <= p",
+                        values, False)
+    if side == 0:
+        if compare(m, a) <= 0:
+            return _verdict(HOLDS, "tau = p and m <= a", values, True)
+        return _verdict(FAILS, "tau = p requires m <= a", values, True)
     # tau < p
-    if m - a < bound:
-        return Verdict(HOLDS, "tau < p and m - a < (d - delta)(1/tau - 1/p)",
-                       values)
-    return Verdict(FAILS, "necessity: m - a >= (d - delta)(1/tau - 1/p)",
-                   values)
+    gap = compare(m - a, bound)
+    if gap < 0:
+        return _verdict(HOLDS, "tau < p and m - a < (d - delta)(1/tau - 1/p)",
+                        values, False)
+    return _verdict(FAILS, "necessity: m - a >= (d - delta)(1/tau - 1/p)",
+                    values, gap == 0)
 
 
 def decide_embedding_holder_route(m, a, p, tau, d, ell):
@@ -98,18 +119,20 @@ def decide_embedding_holder_route(m, a, p, tau, d, ell):
                         eta=(1.0 / inv_eta if inv_eta > 0 else float("inf")),
                         r=(1.0 / inv_r if inv_r > 0 else float("inf")))
     bound = (d - ell) * inv_r
-    main_gap = (d + ell) / d * m - a < bound
-    main_window = 1.0 / tau - 1.0 < m / d < 1.0 / p
-    improved_gap = m - a < bound
-    improved_window = 1.0 / tau - 1.0 < m / (d - ell) < 1.0 / p
-    values = {"bound": bound, "eta": route.eta, "r": route.r,
-              "main_gap": main_gap, "main_window": main_window,
-              "improved_gap": improved_gap,
-              "improved_window": improved_window}
-    if main_gap and main_window:
+    cmps = {"main_gap": [compare((d + ell) / d * m - a, bound)],
+            "main_window": [compare(1.0 / tau - 1.0, m / d),
+                            compare(m / d, 1.0 / p)],
+            "improved_gap": [compare(m - a, bound)],
+            "improved_window": [compare(1.0 / tau - 1.0, m / (d - ell)),
+                                compare(m / (d - ell), 1.0 / p)]}
+    # every condition is a chain of strict inequalities
+    met = {k: all(c < 0 for c in cs) for k, cs in cmps.items()}
+    values = {"bound": bound, "eta": route.eta, "r": route.r, **met,
+              "boundaryCase": any(0 in cs for cs in cmps.values())}
+    if met["main_gap"] and met["main_window"]:
         return Verdict(HOLDS, "main route: gap and window conditions",
                        values), route
-    if improved_gap and improved_window:
+    if met["improved_gap"] and met["improved_window"]:
         return Verdict(HOLDS, "improved route: gap and window conditions",
                        values), route
     return Verdict(UNDETERMINED,
@@ -128,24 +151,27 @@ def decide_reverse_embedding(m, a, p, tau, d, delta):
     bound = (d - delta) * (1.0 / tau - 1.0 / p)
     values = {"m": m, "a": a, "p": p, "tau": tau, "d": d, "delta": delta,
               "m_minus_a": m - a, "bound": bound}
-    if tau < p:
-        return Verdict(FAILS, "necessity: reverse embedding implies p <= tau",
-                       values)
-    if tau == p:
-        if a <= m:
-            return Verdict(HOLDS, "tau = p and a <= m", values)
-        return Verdict(FAILS, "tau = p with a > m", values)
+    side = compare(tau, p)
+    if side < 0:
+        return _verdict(FAILS, "necessity: reverse embedding implies p <= tau",
+                        values, False)
+    if side == 0:
+        if compare(a, m) <= 0:
+            return _verdict(HOLDS, "tau = p and a <= m", values, True)
+        return _verdict(FAILS, "tau = p with a > m", values, True)
     # tau > p (bound < 0)
-    if m - a > bound:
-        return Verdict(HOLDS, "tau > p and m - a > (d - delta)(1/tau - 1/p)",
-                       values)
-    if m - a < bound:
-        return Verdict(FAILS, "necessity: m - a < (d - delta)(1/tau - 1/p)",
-                       values)
-    if a > m:
-        return Verdict(FAILS, "necessity: equality case with a > m", values)
-    return Verdict(UNDETERMINED, "equality case not covered by the paper",
-                   values)
+    gap = compare(m - a, bound)
+    if gap > 0:
+        return _verdict(HOLDS, "tau > p and m - a > (d - delta)(1/tau - 1/p)",
+                        values, False)
+    if gap < 0:
+        return _verdict(FAILS, "necessity: m - a < (d - delta)(1/tau - 1/p)",
+                        values, False)
+    if compare(a, m) > 0:
+        return _verdict(FAILS, "necessity: equality case with a > m", values,
+                        True)
+    return _verdict(UNDETERMINED, "equality case not covered by the paper",
+                    values, True)
 
 
 def pde_regularity_tau(m, a, d, delta, a_bar=None):

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import compare
 from .errors import InvalidParams, Unsupported, UndeterminedByPaper
 from .geometry import regularized_distance_from_jets
 from .jets import Jet, norm_jet
 from .profiles import CUTOFF, MAX_ORDER
-
-BOUNDARY_TOL = 1e-12   # |critical exponent| at most this is the equality case
 
 
 @dataclass(frozen=True)
@@ -75,14 +74,6 @@ class TestFunction:
         return self.jet(x, order=0).value
 
     # -- structure ----------------------------------------------------------
-    def rescaled(self, k):
-        """The function x -> u(2^k x), which is again a family member.
-
-        Below the distance-cap knee rho(2^k x) = 2^k rho(x), so the rescaled
-        function has the same (beta, lam) with cutoff radius R / 2^k.
-        """
-        return TestFunction(self.beta, self.lam, self.R / 2.0 ** k, self.domain)
-
     def to_json(self):
         return {"beta": self.beta, "lambda": self.lam, "R": self.R,
                 "d": self.domain.d, "ell": self.domain.ell}
@@ -100,13 +91,14 @@ def classify_radial_exponent(e, g):
     """Finiteness of int_0^R t^(e-1) (1 + |log t|)^g dt as a verdict.
 
     Finite iff e > 0, or e = 0 with g < -1 (the equality case, where the
-    log power governs).  |e| <= BOUNDARY_TOL counts as e = 0, so that no
-    verdict flips on rounding noise in e.  This is the one radial rule;
+    log power governs).  e is compared with 0 by `embeddings.compare`, so
+    |e| <= BOUNDARY_TOL counts as e = 0 and no verdict flips on rounding
+    noise in e.  This is the one radial rule;
     `norms.radial_reference_integral` and the divergence check use it too.
     """
-    boundary = abs(e) <= BOUNDARY_TOL
-    member = g < -1.0 if boundary else e > 0.0
-    return MembershipVerdict(bool(member), float(e), bool(boundary))
+    side = compare(e, 0.0)
+    member = g < -1.0 if side == 0 else side > 0
+    return MembershipVerdict(bool(member), float(e), side == 0)
 
 
 def kondratiev_membership(u, m, a, p):

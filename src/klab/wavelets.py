@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .embeddings import compare, sigma
 from .errors import InvalidParams, Unsupported
 from .norms import (NormValue, FINITE, INCONCLUSIVE, TAIL_SHARE_LIMIT,
                     tail_share)
@@ -354,8 +355,8 @@ def f_sequence_norm(coeffs, s, tau):
     integrated at level-j resolution.
     """
     d = coeffs.d
-    sigma = d * (1.0 / min(1.0, tau) - 1.0)
-    if not (s > sigma or (tau >= 1.0 and s >= sigma)):
+    side = compare(s, sigma(tau, 2, d))
+    if not (side > 0 or (tau >= 1.0 and side == 0)):
         raise InvalidParams("sequence norm requires s > sigma_{tau,2}")
     box = _fine_box(coeffs)
     if box is None:

@@ -1,8 +1,9 @@
 """Acceptance gate: the nine headline checks at their stated tolerances.
 
-Each test prints a single PASS/FAIL line with its headline statistic and
-measured runtime, appends it to acceptance.log at the repository root, then
-asserts the stated tolerance and budget.
+Each test runs its criterion's `klab.verify.EXPERIMENTS` entry, the one that
+`klab verify NAME` runs, prints a single PASS/FAIL line with its headline
+statistic and runtime, appends it to acceptance.log at the repository root,
+then asserts the stated tolerance and budget.
 """
 
 import time
@@ -10,20 +11,18 @@ from pathlib import Path
 
 import numpy as np
 
-from klab.geometry import ModelDomain, PartitionOfUnity
-from klab.norms import SpaceParams
-from klab.testfns import make_test_function
-from klab.verify import (check_counterexample_divergence, check_dual_route,
-                         check_embedding_ratio, check_localization,
-                         check_norm_equivalence_Kmm,
-                         check_classification_grid,
-                         check_partition_diagnostics,
-                         check_scaling_homogeneity, check_truth_table,
-                         default_family, standard_cover)
+from klab.verify import EXPERIMENTS
 
 
 # every run appends its CRITERION lines here, outside pytest's capture
 ACCEPTANCE_LOG = Path(__file__).resolve().parent.parent / "acceptance.log"
+
+
+def run(name):
+    """The registry entry's report and its wall time."""
+    t0 = time.perf_counter()
+    r = EXPERIMENTS[name]()
+    return r, time.perf_counter() - t0
 
 
 def report(n, ok, detail, seconds, budget):
@@ -36,9 +35,8 @@ def report(n, ok, detail, seconds, budget):
 
 
 def test_criterion_1_decision_truth_table():
-    t0 = time.perf_counter()
-    out = check_truth_table(n=200)
-    dt = time.perf_counter() - t0
+    r, dt = run("truth-table")
+    out = r.result
     ok = out["passed"] and dt < 1.0
     report(1, ok, f"{out['tuples']} tuples, "
            f"{len(out['mismatches'])} mismatches", dt, 1)
@@ -47,34 +45,20 @@ def test_criterion_1_decision_truth_table():
 
 
 def test_criterion_2_norm_equivalence_with_quadrature_doubling():
-    t0 = time.perf_counter()
-    dom = ModelDomain(2, 0)
-    cover = standard_cover(dom, radius=2, j_max=12)
-    fam = default_family(dom)
-    r8 = check_norm_equivalence_Kmm(fam, 1, 2.0, dom, cover,
-                                    nodes_per_dim=8)
-    r16 = check_norm_equivalence_Kmm(fam, 1, 2.0, dom, cover,
-                                     nodes_per_dim=16)
-    dt = time.perf_counter() - t0
-    change = abs(r16.spread - r8.spread) / r8.spread
-    ok = (r8.passed and len(r8.ratios) >= 10 and r8.spread < 50
+    r, dt = run("norm-equivalence")
+    change = r.notes["doublingChange"]
+    ok = (r.passed and len(r.ratios) >= 10 and r.spread < 50
           and change < 0.10 and dt < 300)
-    report(2, ok, f"{len(r8.ratios)} members, spread {r8.spread:.2f}, "
+    report(2, ok, f"{len(r.ratios)} members, spread {r.spread:.2f}, "
            f"doubling change {100 * change:.2f}%", dt, 300)
-    assert len(r8.ratios) >= 10
-    assert r8.spread < 50
+    assert len(r.ratios) >= 10
+    assert r.spread < 50
     assert change < 0.10
     assert dt < 300
 
 
 def test_criterion_3_localization():
-    t0 = time.perf_counter()
-    dom = ModelDomain(2, 0)
-    cover = standard_cover(dom, radius=2, j_max=8)
-    pou = PartitionOfUnity(cover)
-    fam = default_family(dom)
-    r = check_localization(fam, 1, 0.5, 2.0, cover, pou)
-    dt = time.perf_counter() - t0
+    r, dt = run("localization")
     ok = r.passed and r.spread < 50 and dt < 600
     report(3, ok, f"{len(r.ratios)} members, spread {r.spread:.2f}", dt, 600)
     assert r.spread < 50
@@ -82,10 +66,7 @@ def test_criterion_3_localization():
 
 
 def test_criterion_4_sharpness_divergence():
-    t0 = time.perf_counter()
-    r = check_counterexample_divergence(m=1, a=0.0, p=2.0, tau=1.0, d=2,
-                                        delta=0, lam=-0.7)
-    dt = time.perf_counter() - t0
+    r, dt = run("divergence")
     ok = r.passed and dt < 60
     report(4, ok, f"fitted exponent {r.fitted_exponent:.4f} "
            f"(predicted {r.predicted_exponent:.4f}), "
@@ -96,13 +77,7 @@ def test_criterion_4_sharpness_divergence():
 
 
 def test_criterion_5_embedding_positive_direction():
-    t0 = time.perf_counter()
-    dom = ModelDomain(2, 0)
-    params = SpaceParams(m=2, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
-    fam = default_family(dom, betas=(1.2, 1.5, 2.0), lambdas=(0.0,))
-    cover = standard_cover(dom, radius=2, j_max=12)
-    r = check_embedding_ratio(params, fam, cover=cover, J=10)
-    dt = time.perf_counter() - t0
+    r, dt = run("embedding-ratio")
     tails = r.notes.get("tailShares", [])
     ok = (r.passed and len(r.ratios) == 3
           and all(np.isfinite(r.ratios))
@@ -117,32 +92,24 @@ def test_criterion_5_embedding_positive_direction():
 
 
 def test_criterion_6_scaling_identity():
-    t0 = time.perf_counter()
-    errs = []
-    for m, p, d, k in ((1, 2, 2, 3), (2, 2, 2, 2)):
-        dom = ModelDomain(d, 0)
-        u = make_test_function(2.5, 0.0, 1.0, dom)
-        cover = standard_cover(dom, radius=2, j_max=10)
-        out = check_scaling_homogeneity(u, m, p, k, cover=cover)
-        errs.append(out["relativeError"])
-    dt = time.perf_counter() - t0
+    r, dt = run("scaling")
+    errs = [c["relativeError"] for c in r.result["cases"]]
     ok = all(e <= 1e-10 for e in errs) and dt < 60
     report(6, ok, f"relative errors {errs}", dt, 60)
+    assert len(errs) == 2
     assert all(e <= 1e-10 for e in errs)
     assert dt < 60
 
 
 def test_criterion_7_geometry_invariants():
-    t0 = time.perf_counter()
-    results = {}
-    for d, ell in ((2, 0), (3, 1)):
-        results[ell] = check_partition_diagnostics(ModelDomain(d, ell))
-    dt = time.perf_counter() - t0
+    r, dt = run("geometry")
+    results = {v["ell"]: v for v in r.result["domains"]}
     ok = all(v["passed"] for v in results.values()) and dt < 60
     report(7, ok, "; ".join(
         f"ell={ell}: sum err {v['partitionSumError']:.1e}, certs "
         f"{v['certificatesExact']}, growth {[round(g, 2) for g in v['growthRates']]}"
         for ell, v in results.items()), dt, 60)
+    assert set(results) == {0, 1}
     for ell, v in results.items():
         assert v["partitionSumError"] <= 1e-10
         assert v["certificatesExact"]
@@ -151,22 +118,19 @@ def test_criterion_7_geometry_invariants():
 
 
 def test_criterion_8_membership_vs_quadrature():
-    t0 = time.perf_counter()
-    out = check_classification_grid()
-    dt = time.perf_counter() - t0
+    r, dt = run("classification-grid")
+    out = r.result
     n_div = sum(1 for c in out["cells"] if not c["oracleMember"])
     ok = out["passed"] and dt < 300
-    report(8, ok, f"25 cells ({n_div} divergent), all agree: "
-           f"{out['passed']}", dt, 300)
+    report(8, ok, f"{len(out['cells'])} cells ({n_div} divergent), "
+           f"all agree: {out['passed']}", dt, 300)
     assert out["passed"]
     assert n_div > 0
     assert dt < 300
 
 
 def test_criterion_9_wavelet_route_consistency():
-    t0 = time.perf_counter()
-    r = check_dual_route()
-    dt = time.perf_counter() - t0
+    r, dt = run("dual-route")
     parseval = r.notes["parsevalRelativeError"]
     ok = r.passed and r.spread < 100 and parseval < 0.01 and dt < 900
     report(9, ok, f"{len(r.ratios)} members, spread {r.spread:.2f}, "

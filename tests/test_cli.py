@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from klab import norms, verify
-from klab.cli import (EXIT_FAILED, EXIT_INVALID, EXIT_OK, EXIT_UNDETERMINED,
-                      main)
+from klab.cli import (DIVERGENCE_FLAGS, EXIT_FAILED, EXIT_INVALID, EXIT_OK,
+                      EXIT_UNDETERMINED, main)
 from klab.geometry import ModelDomain, PartitionOfUnity, whitney_cover
 from klab.norms import SpaceParams
 from klab.testfns import make_test_function
@@ -223,6 +223,25 @@ def test_verify_divergence_and_report_roundtrip(capsys, tmp_path):
     assert tt["roundTrip"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--m", "1"]])
+def test_verify_divergence_flags_override_the_entry_defaults(capsys, flags):
+    # a flag overrides one default; the others, lambda = -0.7 among them,
+    # stay the entry's own, and params record all seven resolved values
+    code, out = run(capsys, "verify", "divergence", *flags)
+    assert code == EXIT_OK
+    params = json.loads(out)["params"]
+    assert {k: params[k] for k in DIVERGENCE_FLAGS} == {
+        "m": 1, "a": 0.0, "p": 2.0, "tau": 1.0, "d": 2, "delta": 0,
+        "lam": -0.7}
+
+
+@pytest.mark.parametrize("name", sorted(set(verify.EXPERIMENTS)
+                                        - {"divergence"}))
+def test_verify_flags_are_refused_off_divergence(capsys, name):
+    assert main(["verify", name, "--m", "3"]) == EXIT_INVALID
+    assert "only divergence" in capsys.readouterr().err
+
+
 def _readme_csv_columns():
     """Experiment name -> CSV header, from the README's column table."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -289,6 +308,11 @@ def test_every_experiment_writes_readme_columns_and_round_trips(
     for name in [*light, "whitney"]:
         with open(tmp_path / f"{name}.csv", newline="") as fh:
             assert next(csv.reader(fh)) == columns[name], name
+    # only the divergence report records the divergence parameters
+    for name in light:
+        params = json.loads((tmp_path / f"{name}.json").read_text())["params"]
+        expect = set(DIVERGENCE_FLAGS) if name == "divergence" else set()
+        assert set(DIVERGENCE_FLAGS) & set(params) == expect, name
     capsys.readouterr()
     main(["report", "--out", str(tmp_path)])
     lines = [json.loads(line)

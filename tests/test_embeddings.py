@@ -1,10 +1,13 @@
 """Decision procedures for embeddings between the weighted scales."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klab.embeddings import (FAILS, HOLDS, UNDETERMINED, adaptivity_scale,
-                             decide_embedding, decide_embedding_holder_route,
+from klab.embeddings import (BOUNDARY_TOL, FAILS, HOLDS, UNDETERMINED,
+                             adaptivity_scale, compare, decide_embedding,
+                             decide_embedding_holder_route,
                              decide_reverse_embedding, pde_regularity_tau,
                              sigma, technical_threshold_a)
 from klab.errors import InvalidParams
@@ -94,6 +97,88 @@ def test_holder_route_rejects_tau_ge_p():
 def test_reverse_examples(m, a, p, tau, d, delta, outcome):
     assert decide_reverse_embedding(m, a, p, tau, d,
                                     delta).outcome == outcome
+
+
+# --- the boundary rule: one tolerance for every printed inequality ---
+
+def test_compare_has_one_absolute_tolerance():
+    assert compare(1.0, 1.0 + BOUNDARY_TOL / 2) == 0
+    assert compare(1.0, 1.0 + 4 * BOUNDARY_TOL) == -1
+    assert compare(2.0, 1.0) == 1
+
+
+@pytest.mark.parametrize("decide,args,trigger", [
+    # m - a = 3/5 = 2(4/5 - 1/2) exactly; the float bound is 0.6000000000000001
+    (decide_embedding, (1, 0.4, 2.0, 1.25, 2, 0), "necessity"),
+    # sigma_{3/4,2} = 3(4/3 - 1) = 1 = m exactly; the float sigma is
+    # 0.9999999999999998
+    (decide_embedding, (1, 5.0, 2.0, 0.75, 3, 0), "sigma"),
+    # m - a = -2/5 = bound exactly, with a > m
+    (decide_reverse_embedding, (1, 1.4, 2.5, 5.0, 2, 0), "a > m"),
+])
+def test_on_line_tuples_take_the_equality_rule(decide, args, trigger):
+    v = decide(*args)
+    assert v.outcome == FAILS and trigger in v.trigger
+    assert v.condition_values["boundaryCase"] is True
+
+
+def test_off_line_verdicts_are_no_boundary_case():
+    assert decide_embedding(1, 0.5, 2.0, 1.0, 2,
+                            0).condition_values["boundaryCase"] is False
+    v, _ = decide_embedding_holder_route(1, 0.5, 2.5, 1.0, 3, 0)
+    assert v.condition_values["boundaryCase"] is False
+
+
+def exact_embedding(m, a, p, tau, d, delta):
+    """decide_embedding's rule in rational arithmetic."""
+    one = Fraction(1)
+    if m <= d * (one / min(one, tau) - 1):
+        return FAILS
+    if tau != p:
+        return HOLDS if tau < p and m - a < (d - delta) * (
+            one / tau - one / p) else FAILS
+    return HOLDS if m <= a else FAILS
+
+
+def exact_reverse(m, a, p, tau, d, delta):
+    """decide_reverse_embedding's rule in rational arithmetic."""
+    if tau <= p:
+        return HOLDS if tau == p and a <= m else FAILS
+    gap = m - a - (d - delta) * (Fraction(1) / tau - Fraction(1) / p)
+    if gap:
+        return HOLDS if gap > 0 else FAILS
+    return FAILS if a > m else UNDETERMINED
+
+
+@st.composite
+def on_line_tuples(draw):
+    """(m, a, p, tau, d, delta) in tenths or quarters, forced onto one
+    critical line of either decision, or left off all of them."""
+    den = draw(st.sampled_from([4, 10]))
+    frac = lambda lo, hi: Fraction(draw(st.integers(lo * den, hi * den)), den)
+    m, d = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    delta = draw(st.integers(0, d - 1))
+    p, tau, a = frac(1, 5), frac(0, 5), frac(-1, 3)
+    p, tau = max(p, Fraction(den + 1, den)), max(tau, Fraction(1, den))
+    line = draw(st.sampled_from(["sigma", "tau=p", "m=a", "gap", "off"]))
+    if line == "sigma":
+        tau = Fraction(d, m + d)          # d(1/tau - 1) = m
+    if line in ("tau=p", "m=a"):
+        tau = p
+    if line == "m=a":
+        a = Fraction(m)
+    if line == "gap":
+        a = m - (d - delta) * (1 / tau - 1 / p)
+    return m, a, p, tau, d, delta
+
+
+@given(on_line_tuples())
+@settings(max_examples=400, deadline=None)
+def test_float_verdicts_equal_the_exact_rational_verdicts(t):
+    m, a, p, tau, d, delta = t
+    floats = (m, float(a), float(p), float(tau), d, delta)
+    assert decide_embedding(*floats).outcome == exact_embedding(*t)
+    assert decide_reverse_embedding(*floats).outcome == exact_reverse(*t)
 
 
 # --- PDE regularity scale and adaptivity ---

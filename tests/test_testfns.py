@@ -80,14 +80,6 @@ def test_singular_point_raises_before_any_float_error(dom):
         _assert_singular_point_raises(dom)
 
 
-def test_rescaled(dom):
-    u = make_test_function(1.0, 0.0, 1.0, dom)
-    v = u.rescaled(1)
-    assert v.R == 0.5
-    x = np.array([[0.1], [0.1]])
-    assert float(v(x)[0]) == pytest.approx(float(u(x)[0]), rel=1e-12)
-
-
 # --- Kondratiev membership oracle: rho^beta (1+|log rho|)^lam in K^m_{a,p} ---
 
 @pytest.mark.parametrize("beta,lam,m,a,p,member", [

@@ -176,6 +176,16 @@ def test_empty_family_raises(dom, cover):
         check_dual_route([])
 
 
+def test_embedding_ratio_rejects_params_off_the_family_domain(dom, cover):
+    # the verdict is decided on the family's (d, ell): params naming
+    # another domain are an error, not silently replaced
+    u = make_test_function(2.0, 0.0, 1.0, dom)
+    for d, ell in ((3, 1), (3, 0), (2, 1)):
+        params = SpaceParams(m=2, a=1.0, p=2.0, d=d, ell=ell, tau=0.9)
+        with pytest.raises(InvalidParams, match="family lives on"):
+            check_embedding_ratio(params, [u], cover=cover, J=4)
+
+
 def test_divergence_log_case():
     r = check_counterexample_divergence(1, 0.0, 2.0, 1.0, 2, 0, -0.7)
     assert r.passed
@@ -197,8 +207,7 @@ def test_divergence_critical_line_with_rounded_exponent(m, tau):
     d, p, lam = 3, 2.0, -0.7
     r = check_counterexample_divergence(m, m - d * (1 / tau - 1 / p), p, tau,
                                         d, 0, lam)
-    assert r.notes["radialExponent"] == -1.0
-    assert r.notes["critical"] and "flag" not in r.notes
+    assert r.notes["radialExponent"] == -1.0 and "flag" not in r.notes
     assert r.passed
     assert r.fitted_exponent == pytest.approx(1.0 + lam * tau, abs=1e-4)
 
@@ -211,10 +220,9 @@ def test_divergence_critical_line_at_large_tau(lam):
     # 1, and lam tau = -7000 < -1 makes the weighted power finite
     m, tau, d = 4, 1e4, 3
     r = check_counterexample_divergence(m, 0.0, 2.0, tau, d, 0, lam)
-    assert r.notes["radialExponent"] == -1.0 and r.notes["critical"]
+    assert r.notes["radialExponent"] == -1.0
     if lam == 0.0:
         assert r.passed and "flag" not in r.notes
-        assert r.notes["law"] == "(1 + log(1/eps))^c"
         assert r.predicted_exponent == 1.0
         assert r.fitted_exponent == pytest.approx(1.0, abs=1e-4)
     else:
@@ -228,7 +236,7 @@ def test_divergence_critical_line_with_singular_dimension(d, delta):
     m, p, tau, lam = 1, 2.0, 1.0, -0.7
     a = m - (d - delta) * (1 / tau - 1 / p)
     r = check_counterexample_divergence(m, a, p, tau, d, delta, lam)
-    assert r.notes["critical"] and r.notes["kondratievMember"]
+    assert r.notes["radialExponent"] == -1.0 and r.notes["kondratievMember"]
     assert r.passed
     assert r.fitted_exponent == pytest.approx(1.0 + lam * tau, abs=1e-4)
 
