@@ -164,7 +164,7 @@ def _cmd_verify(args):
     """Run a registry entry.  The flags given override the divergence
     entry's own defaults; no other entry takes them."""
     import inspect
-    from .verify import EXPERIMENTS
+    from .verify import EXPERIMENTS, critical_a
     name = "divergence" if args.name == "counterexample" else args.name
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; known: "
@@ -175,7 +175,11 @@ def _cmd_verify(args):
     if name == "divergence":
         bound = inspect.signature(EXPERIMENTS[name]).bind(**given)
         bound.apply_defaults()
-        vars(args).update(bound.arguments)   # the report records all seven
+        kw = bound.arguments
+        if kw["a"] is None:
+            kw["a"] = critical_a(kw["m"], kw["p"], kw["tau"], kw["d"],
+                                 kw["delta"])
+        vars(args).update(kw)   # the report records all seven
     elif given:
         print(f"only divergence takes --m, --a, --p, --tau, --d, --delta "
               f"and --lambda, not {name}", file=sys.stderr)

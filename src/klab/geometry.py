@@ -49,17 +49,25 @@ class ModelDomain:
         return np.sqrt(np.sum(nearest ** 2, axis=1))
 
 
-def regularized_distance_from_jets(coords, domain):
-    """Jet of rho = eta(|x''|) built from coordinate jets.
+def distance_jet(coords, ell):
+    """Jet of |x''|, x'' the coordinates from position ell on; with ell = 0
+    the norm |x|, which vanishes only at the origin, a point of every
+    singular set.
 
     The singular set is tested on |x''|^2, before the root, whose outer
     derivatives would divide by zero there.
     """
-    sq = squared_norm_jet(coords, which=range(domain.ell, domain.d))
+    sq = squared_norm_jet(coords, which=range(ell, len(coords)))
     if np.any(sq.value <= 0.0):
         raise SingularPoint("point lies on the singular set")
-    raw = sq.sqrt()
-    return raw.compose(CAP.derivs(raw.value, raw.order))
+    return sq.sqrt()
+
+
+def regularized_distance_from_jets(dist):
+    """Jet of rho = eta(|x''|) from the jet of |x''| (`distance_jet`).
+
+    The value slot is eta(|x''|) alone, the same at every jet order."""
+    return dist.compose(CAP.derivs(dist.value, dist.order))
 
 
 def regularized_distance(x, domain):
@@ -68,7 +76,8 @@ def regularized_distance(x, domain):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != domain.d:
         x = x.T
-    return regularized_distance_from_jets(Jet.variables(x, 0), domain).value
+    return regularized_distance_from_jets(
+        distance_jet(Jet.variables(x, 0), domain.ell)).value
 
 
 # ---------------------------------------------------------------------------

@@ -215,10 +215,3 @@ def squared_norm_jet(coord_jets, which=None):
         sq = sq + c * c
     return sq
 
-
-def norm_jet(coord_jets, which=None):
-    """Jet of the Euclidean norm of a subset of coordinates.
-
-    The evaluation points must keep the selected norm strictly positive.
-    """
-    return squared_norm_jet(coord_jets, which).sqrt()

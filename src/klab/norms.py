@@ -7,7 +7,8 @@ are realized by summing levels j with 2^-j >= eps, which yields monotone
 truncation ladders for nonnegative integrands.  A ladder makes one
 integrand call per slice of levels (`integral_ladder`); an integrand of r
 rows yields r ladders, so `cover_norms` takes several norms, each a list
-of terms, from one pass: per slice, one jet per function and one rho.
+of terms, from one pass: per slice and jet order, one `testfns.Sample`,
+whose rho every function and the density share.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidParams, Unsupported
-from .geometry import regularized_distance
-from .jets import multi_indices
+from .jets import Jet, multi_indices
 from .profiles import MAX_ORDER
-from .testfns import TestFunction, classify_radial_exponent
+from .testfns import Sample, TestFunction, classify_radial_exponent
 
 FINITE = "Finite"
 DIVERGENT = "Divergent"
@@ -231,7 +231,10 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
 
     A norm is a list of terms (u, lo, hi, density, p): the sum over them of
     (sum_{lo <= |alpha| <= hi} int density(rho, alpha, d^alpha u))^{1/p}.
-    Each u gets one jet per slice, at the highest order its terms need.
+    Each u gets one jet per slice, at the highest order its terms need,
+    from `u.jet_from_sample`: per slice there is one Sample for each order
+    the functions need, and the density's rho is the value of the
+    highest-order sample's rho jet.
     `oracles`, if given, holds one membership oracle per norm.
     """
     if not norms:
@@ -245,8 +248,10 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
     alphas = multi_indices(len(cover.box[0]), max(order.values()))
 
     def integrand(x):
-        jets = {u: u.jet(x, order=k) for u, k in order.items()}
-        rho = regularized_distance(x, cover.domain)
+        samples = {k: Sample(Jet.variables(x, k), cover.domain)
+                   for k in set(order.values())}
+        jets = {u: u.jet_from_sample(samples[k]) for u, k in order.items()}
+        rho = samples[max(samples)].rho().value
         rows = np.zeros((len(terms), x.shape[1]))
         for row, (u, lo, hi, density, _) in zip(rows, terms):
             for al in alphas:
@@ -278,7 +283,8 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
     `PartitionOfUnity.phi_jet`, bump/psi, well defined on the open doubled
     cube (psi >= own bump > 0).
     The nodes of all cubes are evaluated together, SLICE_NODES at a
-    time, with per-point cube keys for the bumps.
+    time, with per-point cube keys for the bumps; u and the density share
+    one Sample per slice.
     """
     d = pou.d
     unit, wts = _tensor_rule(d, nodes_per_dim)
@@ -291,9 +297,10 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
         low = (kk - 0.5) * side
         pts = (low.T[:, :, None] + 2.0 * side * unit[:, None, :]).reshape(d, -1)
         w = np.tile(wts * (2.0 * side) ** d, len(kk))
+        sample = Sample(Jet.variables(pts, m), pou.cover.domain)
         piece = (pou.phi_jet(j, np.repeat(kk.T, n, axis=1), pts, m)
-                 * u.jet(pts, order=m))
-        rho = regularized_distance(pts, pou.cover.domain)
+                 * u.jet_from_sample(sample))
+        rho = sample.rho().value
         for alpha in multi_indices(d, m):
             total += float(np.sum(density(rho, alpha,
                                           piece.derivative(alpha)) * w))

@@ -14,8 +14,8 @@ import numpy as np
 
 from .embeddings import compare
 from .errors import InvalidParams, Unsupported, UndeterminedByPaper
-from .geometry import regularized_distance_from_jets
-from .jets import Jet, norm_jet
+from .geometry import distance_jet, regularized_distance_from_jets
+from .jets import Jet
 from .profiles import CUTOFF, MAX_ORDER
 
 
@@ -33,10 +33,77 @@ class MembershipVerdict:
     boundary_case: bool
 
 
-def _radial_cutoff_jet(coords, R):
-    """Jet of zeta(|x| / R) from coordinate jets."""
-    t = norm_jet(coords) * (1.0 / R)
-    return t.compose(CUTOFF.derivs(t.value, t.order))
+class Sample:
+    """The coordinate jets of one point set at one order, and the factors of
+    the family that depend only on them and on the domain: rho, rho^beta,
+    (1 - log rho)^lam and zeta(|x|/R) for each beta, lam and R, and each
+    member's jet.  A factor is built when a member first asks for it and
+    then shared by every member that evaluates on the sample.
+
+    When ell = 0, |x''| is |x|: rho and zeta share one norm jet, and with it
+    the singular-set test.  Only rho, the factors members multiply and the
+    members' jets are kept: 1 - log rho lives only inside its power, and
+    the |x''| jet is let go once rho is built.  So a sample that serves one
+    member, as on a wavelet grid, holds rho and that member's factors and
+    no more.
+    """
+
+    def __init__(self, coords, domain):
+        if coords[0].order > MAX_ORDER:
+            raise Unsupported(f"derivative order capped at {MAX_ORDER}")
+        self.coords, self.domain = coords, domain
+        self._shared = {}
+
+    @property
+    def order(self):
+        return self.coords[0].order
+
+    def shared(self, key, build):
+        """The factor stored under key, built by build() on first use."""
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]
+
+    def distance(self):
+        """|x''|; raises SingularPoint on the singular set."""
+        return self.shared(
+            "distance", lambda: distance_jet(self.coords, self.domain.ell))
+
+    def norm(self):
+        """|x|, which is |x''| when ell = 0; raises SingularPoint at the
+        origin."""
+        if self.domain.ell == 0:
+            return self.distance()
+        return self.shared("norm", lambda: distance_jet(self.coords, 0))
+
+    def rho(self):
+        def build():
+            rho = regularized_distance_from_jets(self.distance())
+            # only a later cutoff of another R, or a window, needs it again
+            del self._shared["distance"]
+            return rho
+        return self.shared("rho", build)
+
+    def require_off_singular_set(self):
+        """Raise SingularPoint on the singular set.  rho's |x''| was tested
+        when rho was built, so only a sample without rho builds |x''|."""
+        if "rho" not in self._shared:
+            self.distance()
+
+    def rho_power(self, beta):
+        return self.shared(("rho", beta), lambda: self.rho().power(beta))
+
+    def log_power(self, lam):
+        """(1 - log rho)^lam = (1 + |log rho|)^lam."""
+        return self.shared(("log", lam),
+                           lambda: (-self.rho().log() + 1.0).power(lam))
+
+    def cutoff(self, R):
+        """zeta(|x| / R)."""
+        def build():
+            t = self.norm() * (1.0 / R)
+            return t.compose(CUTOFF.derivs(t.value, t.order))
+        return self.shared(("cutoff", R), build)
 
 
 @dataclass(frozen=True)
@@ -53,22 +120,35 @@ class TestFunction:
             raise InvalidParams("cutoff radius R must be positive")
 
     # -- evaluation --------------------------------------------------------
-    def jet_from_coords(self, coords):
-        """Jet of u built from arbitrary coordinate jets (diffeo pullbacks)."""
-        rho = regularized_distance_from_jets(coords, self.domain)
-        u = rho.power(self.beta)
-        if self.lam != 0.0:
-            u = u * (-rho.log() + 1.0).power(self.lam)
-        return u * _radial_cutoff_jet(coords, self.R)
+    def jet_from_sample(self, sample):
+        """Jet of u on a Sample, built once per sample and member.
+
+        The factors multiply as ((rho^beta (1 - log rho)^lam) zeta), leaving
+        out rho^beta when beta = 0 and the log factor when lam = 0: a
+        factor of one only adds +-0.0 to each product.  With beta = lam = 0
+        no rho is built, but the singular set is still tested on |x''|^2.
+        """
+        def build():
+            # zeta first: on ell = 0 it takes |x''| before rho lets it go;
+            # its norm, like rho's |x''|, is tested before the root
+            zeta = sample.cutoff(self.R)
+            u = sample.rho_power(self.beta) if self.beta != 0.0 else None
+            if self.lam != 0.0:
+                log = sample.log_power(self.lam)
+                u = log if u is None else u * log
+            if u is None:
+                sample.require_off_singular_set()
+                return zeta
+            return u * zeta
+        return sample.shared(self, build)
 
     def jet(self, x, order=MAX_ORDER):
         """Jet of u at points x of shape (d, n)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[0] != self.domain.d:
             x = x.T
-        if order > MAX_ORDER:
-            raise Unsupported(f"derivative order capped at {MAX_ORDER}")
-        return self.jet_from_coords(Jet.variables(x, order))
+        return self.jet_from_sample(Sample(Jet.variables(x, order),
+                                           self.domain))
 
     def __call__(self, x):
         return self.jet(x, order=0).value

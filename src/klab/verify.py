@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .embeddings import compare
 from .errors import EmptyFamily, InvalidParams
 from .geometry import (C0_LEVEL0, PSI_FLOOR, ModelDomain, PartitionOfUnity,
                        whitney_cover)
-from .jets import Jet, norm_jet
 from .profiles import WINDOW
 from . import norms
 from .norms import (SpaceParams, cover_norms, kondratiev_piece_power,
@@ -23,8 +23,9 @@ from .norms import (SpaceParams, cover_norms, kondratiev_piece_power,
                     radial_reference_integral, rloc_weighted_terms,
                     sharp_terms, sobolev_terms, tail_share, weighted_lp_terms,
                     FINITE)
-from .testfns import (classify_radial_exponent, f_space_membership_radial,
-                      kondratiev_membership, make_test_function)
+from .testfns import (Sample, classify_radial_exponent,
+                      f_space_membership_radial, kondratiev_membership,
+                      make_test_function)
 
 SPREAD_SAME_INTEGRABILITY = 50.0
 SPREAD_CROSS_INTEGRABILITY = 100.0
@@ -260,14 +261,19 @@ def _partition_passed(sum_err, cert_ok, growth, ell):
 
 
 class DerivativeFunction:
-    """d^alpha u with jets delegated to the closed family's exact jets."""
+    """d^alpha u with jets delegated to the closed family's exact jets.
+
+    Its sample's coordinates must be the variables at the sample's points,
+    as those of `cover_norms` are: u's jet is taken |alpha| orders higher
+    at the same points."""
 
     def __init__(self, u, alpha):
         self.u = u
         self.alpha = tuple(int(k) for k in alpha)
 
-    def jet(self, x, order):
-        return self.u.jet(x, order + sum(self.alpha)).derivative_jet(
+    def jet_from_sample(self, sample):
+        x = np.array([c.value for c in sample.coords])
+        return self.u.jet(x, sample.order + sum(self.alpha)).derivative_jet(
             self.alpha)
 
 
@@ -278,9 +284,8 @@ class PulledBackFunction:
         self.u = u
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def jet(self, x, order):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        coords = Jet.variables(x, order)
+    def jet_from_sample(self, sample):
+        coords = sample.coords
         ycoords = []
         for i in range(self.matrix.shape[0]):
             acc = coords[0] * self.matrix[i, 0]
@@ -288,23 +293,23 @@ class PulledBackFunction:
                 if self.matrix[i, jj] != 0.0:
                     acc = acc + coords[jj] * self.matrix[i, jj]
             ycoords.append(acc)
-        return self.u.jet_from_coords(ycoords)
+        return self.u.jet_from_sample(Sample(ycoords, self.u.domain))
 
 
 class WindowedFunction:
-    """phi_j(x) u(x) with the dyadic annular window phi_j = w(log2(1/|x|)-j)."""
+    """phi_j(x) u(x) with the dyadic annular window phi_j = w(log2(1/|x|)-j).
+
+    The windows of one sample share its |x|, its log2(1/|x|) and u's jet."""
 
     def __init__(self, u, j):
         self.u = u
         self.j = j
 
-    def jet(self, x, order):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        coords = Jet.variables(x, order)
-        r = norm_jet(coords)
-        t = r.log() * (-1.0 / math.log(2.0)) - float(self.j)
-        w = t.compose(WINDOW.derivs(t.value, order))
-        return w * self.u.jet_from_coords(coords)
+    def jet_from_sample(self, sample):
+        t = sample.shared("log2(1/|x|)", lambda: sample.norm().log()
+                          * (-1.0 / math.log(2.0))) - float(self.j)
+        w = t.compose(WINDOW.derivs(t.value, t.order))
+        return w * self.u.jet_from_sample(sample)
 
 
 def _norm_values(norms, cover, nodes_per_dim):
@@ -501,7 +506,12 @@ def _fit_growth(xs, ys, predicted):
     return float(popt[2]), residual
 
 
-def check_counterexample_divergence(m=1, a=0.0, p=2.0, tau=1.0, d=2,
+def critical_a(m, p, tau, d, delta):
+    """The weight a = m - (d - delta)(1/tau - 1/p) of the critical line."""
+    return m - (d - delta) * (1.0 / tau - 1.0 / p)
+
+
+def check_counterexample_divergence(m=1, a=None, p=2.0, tau=1.0, d=2,
                                     delta=0, lam=-0.7):
     """Sharpness at the critical line via the exact 1D radial reduction.
 
@@ -509,7 +519,12 @@ def check_counterexample_divergence(m=1, a=0.0, p=2.0, tau=1.0, d=2,
     ||rho^{-m} u_lam||^tau_{L_tau(rho>eps)} reduces to
     int_eps^R t^{e}(1+|log t|)^{lam*tau} dt with e = (beta-m)tau + d-delta-1;
     its growth in eps is fitted against (1 + log(1/eps))^{1 + lam tau}.
+    `a` defaults to `critical_a`; an `a` off that line (by
+    `embeddings.compare`) fails with a note naming the line's a.
     """
+    line_a = critical_a(m, p, tau, d, delta)
+    if a is None:
+        a = line_a
     beta = m - (d - delta) / tau
     # -1 by the choice of beta; recomputed from beta, e rounds off the
     # critical line for large tau
@@ -551,8 +566,12 @@ def check_counterexample_divergence(m=1, a=0.0, p=2.0, tau=1.0, d=2,
                 notes["kondratievCauchyEps"] = top
                 break
         notes["kondratievLadder"] = rungs
+    on_line = compare(a, line_a) == 0
+    if not on_line:
+        notes["flag"] = (f"off the critical line: a = {a!r}, the line's a = "
+                         f"{line_a!r}")
     passed = (abs(fitted - predicted) <= 0.05 and residual < 0.10
-              and cauchy)
+              and cauchy and on_line)
     return DivergenceReport(ladder=ladder, fitted_exponent=fitted,
                             predicted_exponent=predicted, residual=residual,
                             kondratiev_cauchy=cauchy, passed=passed,

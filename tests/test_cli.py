@@ -235,6 +235,23 @@ def test_verify_divergence_flags_override_the_entry_defaults(capsys, flags):
         "lam": -0.7}
 
 
+@pytest.mark.parametrize("flags,a", [(["--d", "3"], -0.5),
+                                     (["--tau", "0.5"], -2.0)])
+def test_verify_divergence_stays_on_its_critical_line(capsys, flags, a):
+    # a defaults to the line m - (d - delta)(1/tau - 1/p), so one
+    # overridden flag moves a with it; params record the resolved a
+    code, out = run(capsys, "verify", "divergence", *flags)
+    assert code == EXIT_OK
+    assert json.loads(out)["params"]["a"] == a
+
+
+def test_verify_divergence_off_its_critical_line_fails(capsys):
+    code, out = run(capsys, "verify", "divergence", "--d", "3", "--a", "0")
+    assert code == EXIT_FAILED
+    flag = json.loads(out)["statistics"]["notes"]["flag"]
+    assert "the line's a = -0.5" in flag
+
+
 @pytest.mark.parametrize("name", sorted(set(verify.EXPERIMENTS)
                                         - {"divergence"}))
 def test_verify_flags_are_refused_off_divergence(capsys, name):

@@ -164,8 +164,8 @@ def test_regularized_distance_bounds():
                                          ((2, 2), 60.0)])
 def test_rho_derivative_bound(alpha, bound):
     # |d^alpha rho| <= A_alpha rho^(1-|alpha|); constants frozen after fit
-    from klab.geometry import regularized_distance_from_jets
     from klab.jets import Jet
+    from klab.testfns import Sample
     dom = ModelDomain(2, 0)
     rng = np.random.default_rng(11)
     pts = 10.0 ** rng.uniform(-3, 0.5, size=(200, 1)) \
@@ -173,8 +173,7 @@ def test_rho_derivative_bound(alpha, bound):
     pts = pts[dom.distance(pts) > 1e-6]
     order = sum(alpha)
     for p in pts[:120]:
-        jet = regularized_distance_from_jets(
-            Jet.variables(p.reshape(2, 1), order), dom)
+        jet = Sample(Jet.variables(p.reshape(2, 1), order), dom).rho()
         rho = float(np.atleast_1d(jet.value)[0])
         da = float(np.atleast_1d(jet.derivative(alpha))[0])
         assert abs(da) <= bound * rho ** (1 - order) + 1e-12

@@ -309,3 +309,62 @@ def test_radial_reference_power_law():
     got = radial_reference_integral(-1.5, 0.0, 1.0, eps)
     want = (eps ** -0.5 - 1.0) / 0.5
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _count_cap_calls(monkeypatch):
+    from klab.profiles import CAP
+    calls, derivs = [], CAP.derivs
+
+    def counted(t, order):
+        calls.append(order)
+        return derivs(t, order)
+
+    monkeypatch.setattr(CAP, "derivs", counted)
+    return calls
+
+
+def test_cap_runs_once_per_slice_and_order(monkeypatch):
+    # one Sample per slice and jet order: its rho serves every member and
+    # the density, so the cap runs once per slice and order, however many
+    # members and norms the pass has
+    dom = ModelDomain(2, 0)
+    cov = whitney_cover(dom, ((-2, -2), (2, 2)), 6)
+    monkeypatch.setattr(norms, "SLICE_NODES", 1000)
+    slices = -(-sum(len(ks) for ks in cov.levels.values()) * 16 // 1000)
+    fam = [make_test_function(b, l, 1.0, dom)
+           for b in (0.0, 1.2, 2.0) for l in (0.0, -0.7)]
+    params = SpaceParams(m=2, a=0.5, p=2.0, d=2, ell=0, tau=1.5)
+    calls = _count_cap_calls(monkeypatch)
+    cover_norms([kondratiev_terms(u, params) for u in fam]
+                + [rloc_weighted_terms(u, params) for u in fam], cov, 4)
+    assert calls == [2] * slices and slices > 1
+    calls.clear()
+    # a second member at order 0 adds the order-0 sample
+    v = make_test_function(0.5, -0.7, 1.0, dom)
+    cover_norms([kondratiev_terms(fam[2], params),
+                 weighted_lp_terms(v, 0.0, 2.0)], cov, 4)
+    assert sorted(calls) == [0] * slices + [2] * slices
+    calls.clear()
+    # the pieces of one level: one sample per slice of cubes
+    pou = PartitionOfUnity(cov)
+    j, ks = 4, cov.levels[4]
+    monkeypatch.setattr(norms, "SLICE_NODES", 3 * 64)
+    kondratiev_piece_power(fam[2], pou, j, ks, 1, 0.5, 2.0)
+    assert calls == [1] * -(-len(ks) // 3) and len(ks) > 3
+
+
+def test_members_together_equal_one_at_a_time():
+    # members that share samples give the ladders each gives alone, bit
+    # for bit: two jet orders, beta = 0 and lam != 0 among them
+    dom = ModelDomain(2, 0)
+    cov = whitney_cover(dom, ((-2, -2), (2, 2)), 8)
+    fam = [make_test_function(b, l, R, dom) for b in (0.0, 0.8, 2.0)
+           for l in (0.0, -0.7) for R in (1.0, 0.6)]
+    params = SpaceParams(m=1, a=0.5, p=2.0, d=2, ell=0, tau=1.5)
+    each = ([kondratiev_terms(u, params) for u in fam]
+            + [weighted_lp_terms(make_test_function(b, -0.7, 0.8, dom), -1.0,
+                                 1.5) for b in (0.0, 1.2)])
+    together = cover_norms(each, cov, 4)
+    for nv, terms in zip(together, each, strict=True):
+        alone, = cover_norms([terms], cov, 4)
+        assert np.array_equal(nv.truncations, alone.truncations)

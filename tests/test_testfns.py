@@ -51,6 +51,8 @@ def test_jet_matches_finite_difference(dom):
 def _assert_singular_point_raises(dom):
     from klab.errors import SingularPoint
     from klab.geometry import regularized_distance
+    from klab.jets import Jet
+    from klab.testfns import Sample
     from klab.verify import PulledBackFunction
     u = make_test_function(0.5, 0.0, 1.0, dom)
     pulled = PulledBackFunction(u, [[1.0, 1.0], [1.0, 1.0]])
@@ -63,7 +65,8 @@ def _assert_singular_point_raises(dom):
         with pytest.raises(SingularPoint):
             v.jet(np.zeros((domain.d, 1)), order=2)
     with pytest.raises(SingularPoint):
-        pulled.jet(np.array([[0.5, 0.3], [-0.5, 0.2]]), 2)
+        pulled.jet_from_sample(Sample(
+            Jet.variables(np.array([[0.5, 0.3], [-0.5, 0.2]]), 2), dom))
 
 
 def test_singular_point_raises(dom):
@@ -140,3 +143,40 @@ def test_to_json_round_trip(dom):
                            ModelDomain(j["d"], j["ell"]))
     x = np.array([[0.05], [0.02]])
     assert float(v(x)[0]) == float(u(x)[0])
+
+
+def _separate_norms_jet(u, x, order):
+    """u's jet as the family was evaluated before samples: rho and
+    zeta(|x|/R) from norm jets of their own, rho^0 the constant jet one."""
+    from klab.geometry import distance_jet, regularized_distance_from_jets
+    from klab.jets import Jet, squared_norm_jet
+    from klab.profiles import CUTOFF
+    coords = Jet.variables(x, order)
+    rho = regularized_distance_from_jets(distance_jet(coords, u.domain.ell))
+    v = rho.power(u.beta)
+    if u.lam != 0.0:
+        v = v * (-rho.log() + 1.0).power(u.lam)
+    t = squared_norm_jet(coords).sqrt() * (1.0 / u.R)
+    return v * t.compose(CUTOFF.derivs(t.value, order))
+
+
+@pytest.mark.parametrize("d,ell", [(2, 0), (2, 1), (3, 1)])
+def test_sample_jets_equal_separate_norm_jets(d, ell):
+    # the sample shares |x''| between rho and zeta when ell = 0, and leaves
+    # out the factors of one when beta or lam is 0 (the plateau cutoff
+    # among them); every slot equals the separate evaluation's, value for
+    # value, at every order
+    from klab.jets import Jet
+    from klab.testfns import Sample
+    domain = ModelDomain(d, ell)
+    x = np.random.default_rng(3).uniform(-2.5, 2.5, (d, 400))
+    members = [make_test_function(b, l, R, domain) for b in (0.0, 0.5, 1.2)
+               for l in (0.0, -0.7) for R in (1.0, 0.7)]
+    for order in range(5):
+        sample = Sample(Jet.variables(x, order), domain)
+        assert (sample.norm() is sample.distance()) == (ell == 0)
+        for u in members:
+            got = u.jet_from_sample(sample)
+            want = _separate_norms_jet(u, x, order)
+            assert all(np.array_equal(g, w) for g, w
+                       in zip(got.coeffs, want.coeffs, strict=True))

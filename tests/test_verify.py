@@ -48,12 +48,12 @@ def test_norm_equivalence(fam, dom, cover):
 def test_one_jet_per_slice_for_all_norms_of_a_member(dom, monkeypatch):
     # a member's norms come from one pass over the cover, so its jet is
     # built once per slice, not once per norm (three norms, and two beside
-    # the wavelet route)
+    # the wavelet route); the cover evaluates it by jet_from_sample
     cover = standard_cover(dom, radius=2, j_max=6)
     monkeypatch.setattr(norms, "SLICE_NODES", 1000)
     nodes = sum(len(ks) for ks in cover.levels.values()) * 4 ** 2
     slices = -(-nodes // 1000)
-    ladder, jet = norms.integral_ladder, testfns.TestFunction.jet
+    ladder, jet = norms.integral_ladder, testfns.TestFunction.jet_from_sample
     depth, calls = [], []
 
     def counted_ladder(*args, **kwargs):
@@ -68,7 +68,7 @@ def test_one_jet_per_slice_for_all_norms_of_a_member(dom, monkeypatch):
         return jet(self, *args, **kwargs)
 
     monkeypatch.setattr(norms, "integral_ladder", counted_ladder)
-    monkeypatch.setattr(testfns.TestFunction, "jet", counted_jet)
+    monkeypatch.setattr(testfns.TestFunction, "jet_from_sample", counted_jet)
     u = make_test_function(1.5, 0.0, 1.0, dom)
     check_norm_equivalence_Kmm([u], 1, 2.0, dom, cover, nodes_per_dim=4)
     assert len(calls) == slices > 1
@@ -217,12 +217,13 @@ def test_divergence_critical_line_at_large_tau(lam):
     # m = 4, tau = 1e4, d = 3: recomputing the radial exponent from beta
     # gave -1.89e-12, off the line by more than BOUNDARY_TOL, and a
     # vacuous eps^{-c} fit; on the line lam = 0 is the log law of exponent
-    # 1, and lam tau = -7000 < -1 makes the weighted power finite
+    # 1, and lam tau = -7000 < -1 makes the weighted power finite.  The
+    # weight a = 0 is off the line a = 5.4997, so the check fails and says so
     m, tau, d = 4, 1e4, 3
     r = check_counterexample_divergence(m, 0.0, 2.0, tau, d, 0, lam)
     assert r.notes["radialExponent"] == -1.0
     if lam == 0.0:
-        assert r.passed and "flag" not in r.notes
+        assert not r.passed and "the line's a = 5.4997" in r.notes["flag"]
         assert r.predicted_exponent == 1.0
         assert r.fitted_exponent == pytest.approx(1.0, abs=1e-4)
     else:
@@ -339,3 +340,29 @@ def test_experiment_registry_names():
         "truth-table", "norm-equivalence", "localization", "divergence",
         "embedding-ratio", "scaling", "geometry", "classification-grid",
         "dual-route"}
+
+
+def test_cone_localization_builds_one_u_per_slice(monkeypatch):
+    # the 18 windows and u share one sample per slice: its |x|, and u's
+    # jet, whose rho is the one the cap builds; the ratio is the one the
+    # separate evaluation of every window gave
+    from klab.profiles import CAP
+    cov = _sector_cover(j_max=7)
+    u = make_test_function(1.2, 0.0, 1.0, cov.domain)
+    monkeypatch.setattr(norms, "SLICE_NODES", 4096)
+    slices = -(-sum(len(ks) for ks in cov.levels.values()) * 64 // 4096)
+    calls, derivs = [], CAP.derivs
+    monkeypatch.setattr(CAP, "derivs",
+                        lambda t, order: calls.append(order) or derivs(t, order))
+    r = check_cone_localization(u, 1, 0.5, 2.0, cover=cov)
+    assert calls == [1] * slices and slices > 1
+    monkeypatch.undo()
+    assert check_cone_localization(u, 1, 0.5, 2.0, cover=cov).ratios == [
+        0.5311816392744827]
+
+
+def test_dual_route_parseval_error_is_unchanged(fam):
+    # the plateau cutoff (beta = lam = 0) is sampled without rho; its
+    # Parseval error is the one the constant factor rho^0 gave
+    r = check_dual_route(family=fam[:2], J=6, j_max=6, parseval_J=6)
+    assert r.notes["parsevalRelativeError"] == 0.0006174708783332563
