@@ -177,6 +177,10 @@ class PartitionOfUnity:
     def __init__(self, cover):
         self.cover = cover
         self.d = len(cover.box[0])
+        # (j, cube-key bytes, dtype, nodes per dim, order) -> read-only
+        # (nodes, weights, phi jet) of one slice of doubled-cube pieces,
+        # filled on first use by norms._piece_slice
+        self.pieces = {}
         self._offsets = np.stack(
             np.meshgrid(*([np.arange(-1, 2)] * self.d), indexing="ij"),
             axis=-1).reshape(-1, self.d)
@@ -214,25 +218,56 @@ class PartitionOfUnity:
 
     def _neighbor_batches(self, x):
         """Yield (j, k_array (d, m), point_indices (m,)) for all cover cubes
-        whose doubled cube contains the respective point."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        for j, (kmin, span, strides, codes) in self._tables.items():
-            base = np.floor(x * 2.0 ** j).astype(int)  # (d, n)
-            for off in self._offsets:
-                cand = base + off[:, None]
-                rel = cand - kmin[:, None]
-                inside = np.all((rel >= 0) & (rel < span[:, None]), axis=0)
-                t = x * 2.0 ** j - cand
-                inside &= np.all((t > -0.5) & (t < 1.5), axis=0)
-                if not inside.any():
-                    continue
-                enc = (rel * strides[:, None]).sum(axis=0)
-                pos = np.searchsorted(codes, enc)
-                pos = np.clip(pos, 0, len(codes) - 1)
-                member = inside & (codes[pos] == enc)
-                if member.any():
-                    ixs = np.nonzero(member)[0]
-                    yield j, cand[:, ixs], ixs
+        whose doubled cube contains the respective point.
+
+        A level is searched only on the points whose |x''| lies in its
+        window (`_window`); the indices are those of x, ascending."""
+        # C order: on Fortran-ordered points (x[:, sel], or a transposed
+        # (n, d) array) the scan's axis-0 reductions take two to three
+        # times as long
+        x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
+        r = self.cover.domain.distance(x)
+        for j in self._tables:
+            lo, hi = self._window(j)
+            sel = np.nonzero((r >= lo) & (r <= hi))[0]
+            if sel.size:
+                xs = x if sel.size == x.shape[1] else x.take(sel, axis=1)
+                for kk, ixs in self._level_batches(j, xs):
+                    yield j, kk, sel[ixs]
+
+    def _window(self, j):
+        """Bounds on |x''| for x in the doubled cube 2Q of a level-j cube.
+
+        dist(2Q, S) >= c1 2^-j (C0_LEVEL0 at level 0) and, for j >= 1,
+        <= c2 2^-j; 2Q adds at most its diameter in x'', 2^(1-j) sqrt(d-ell).
+        Each bound is widened by one level against rounding."""
+        if j == 0:
+            return C0_LEVEL0 / 2.0, np.inf
+        cover = self.cover
+        reach = cover.c2 + 2.0 * math.sqrt(self.d - cover.domain.ell)
+        return cover.c1 * 2.0 ** -(j + 1), reach * 2.0 ** -(j - 1)
+
+    def _level_batches(self, j, x):
+        """Yield (k_array (d, m), point_indices (m,)) for the level-j cover
+        cubes whose doubled cube contains the respective point of x, one
+        batch per neighbour offset."""
+        kmin, span, strides, codes = self._tables[j]
+        base = np.floor(x * 2.0 ** j).astype(int)  # (d, n)
+        for off in self._offsets:
+            cand = base + off[:, None]
+            rel = cand - kmin[:, None]
+            inside = np.all((rel >= 0) & (rel < span[:, None]), axis=0)
+            t = x * 2.0 ** j - cand
+            inside &= np.all((t > -0.5) & (t < 1.5), axis=0)
+            if not inside.any():
+                continue
+            enc = (rel * strides[:, None]).sum(axis=0)
+            pos = np.searchsorted(codes, enc)
+            pos = np.clip(pos, 0, len(codes) - 1)
+            member = inside & (codes[pos] == enc)
+            if member.any():
+                ixs = np.nonzero(member)[0]
+                yield cand[:, ixs], ixs
 
     def psi_jet(self, x, order=MAX_ORDER):
         """Jet of the un-normalized sum of bumps at points x (d, n).

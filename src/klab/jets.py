@@ -12,8 +12,11 @@ jets, with the caller's points and with the outer derivative arrays handed
 to :meth:`Jet.compose`, so no operation copies an operand.  The rule that
 makes the sharing safe: an operation writes in place only into arrays it
 allocated itself (the accumulators of ``__mul__``, the totals of
-``PartitionOfUnity.psi_jet``).  At order 0 every operation reduces to the
-elementwise numpy expression on the values.
+``PartitionOfUnity.psi_jet``).  The phi jets a partition of unity keeps
+for its pieces (``PartitionOfUnity.pieces``) are shared by every later call
+that integrates the same slice of cubes; their slots are read-only, so an
+in-place write to one raises instead of corrupting later pieces.  At order 0
+every operation reduces to the elementwise numpy expression on the values.
 """
 
 from functools import lru_cache

@@ -275,6 +275,32 @@ def _norm_value(truncs, nodes_per_dim, oracle_member):
                      classify_truncations(truncs, oracle_member), nodes_per_dim)
 
 
+def _piece_slice(pou, j, kk, m, nodes_per_dim):
+    """Nodes (d, N), weights (N,) and phi jet of the tensor rules on the
+    doubled cubes of the level-j cube keys kk (n, d), kept on the pou.
+
+    phi = bump/psi belongs to the partition alone, so the first call for a
+    slice evaluates it and every later member and check multiplies the kept
+    jet.  The key holds the slice's own cube keys, so another slicing of a
+    level builds its own entry.  The kept arrays are read-only; nothing is
+    kept when phi_jet raises OutsideCover.
+    """
+    key = (j, kk.tobytes(), kk.dtype.str, nodes_per_dim, m)
+    if key not in pou.pieces:
+        d = pou.d
+        unit, wts = _tensor_rule(d, nodes_per_dim)
+        side = 2.0 ** -j
+        low = (kk - 0.5) * side
+        pts = (low.T[:, :, None]
+               + 2.0 * side * unit[:, None, :]).reshape(d, -1)
+        w = np.tile(wts * (2.0 * side) ** d, len(kk))
+        phi = pou.phi_jet(j, np.repeat(kk.T, wts.size, axis=1), pts, m)
+        for arr in (pts, w, *phi.coeffs):
+            arr.setflags(write=False)
+        pou.pieces[key] = (pts, w, phi)
+    return pou.pieces[key]
+
+
 def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
     """Sum over the level-j cubes ks (N, d) of
     int_{2Q} sum_{|alpha|<=m} density(rho, alpha, d^alpha(phi_{j,k} u)).
@@ -283,25 +309,18 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
     `PartitionOfUnity.phi_jet`, bump/psi, well defined on the open doubled
     cube (psi >= own bump > 0).
     The nodes of all cubes are evaluated together, SLICE_NODES at a
-    time, with per-point cube keys for the bumps; u and the density share
-    one Sample per slice.
+    time, with the slice's phi kept on the pou (`_piece_slice`); u and the
+    density share one Sample per slice.
     """
-    d = pou.d
-    unit, wts = _tensor_rule(d, nodes_per_dim)
-    n = wts.size
-    side = 2.0 ** -j
-    per_slice = max(1, SLICE_NODES // n)
+    per_slice = max(1, SLICE_NODES // nodes_per_dim ** pou.d)
     total = 0.0
     for start in range(0, len(ks), per_slice):
-        kk = ks[start:start + per_slice]
-        low = (kk - 0.5) * side
-        pts = (low.T[:, :, None] + 2.0 * side * unit[:, None, :]).reshape(d, -1)
-        w = np.tile(wts * (2.0 * side) ** d, len(kk))
+        pts, w, phi = _piece_slice(pou, j, ks[start:start + per_slice], m,
+                                   nodes_per_dim)
         sample = Sample(Jet.variables(pts, m), pou.cover.domain)
-        piece = (pou.phi_jet(j, np.repeat(kk.T, n, axis=1), pts, m)
-                 * u.jet_from_sample(sample))
+        piece = phi * u.jet_from_sample(sample)
         rho = sample.rho().value
-        for alpha in multi_indices(d, m):
+        for alpha in multi_indices(pou.d, m):
             total += float(np.sum(density(rho, alpha,
                                           piece.derivative(alpha)) * w))
     return total

@@ -67,3 +67,39 @@ def test_run_side_keeps_the_result_and_the_provenance(monkeypatch):
     assert got == dict(_result(0.1, 3.0),
                        provenance={"seed": 7, "commit": None})
 
+
+
+def _bench_file(workload, parent, change):
+    row = {"unit": "s", "better": "lower", "wins": 9, "pairs": 10,
+           "parent": {"median": parent}, "change": {"median": change}}
+    return json.dumps({"workload": workload, "metrics": {"run_s": row}})
+
+
+def test_trajectory_follows_the_commits_that_added_the_files(tmp_path,
+                                                             capsys):
+    # the later-named file is committed first, so commit order, not name
+    # order, decides the trajectory
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    for name, parent, change in (("BENCH_zeta_localization.json", 0.2, 0.1),
+                                 ("BENCH_alpha_localization.json", 0.1,
+                                  0.05)):
+        (tmp_path / name).write_text(_bench_file("localization", parent,
+                                                 change))
+        git("add", name)
+        git("commit", "-q", "-m", name)
+    rows = bench_pairs.trajectory(tmp_path)
+    series = rows[("localization", "run_s")]
+    assert [tag for _, tag, _ in series] == ["zeta", "alpha"]
+    assert [(r["parent"]["median"], r["change"]["median"])
+            for _, _, r in series] == [(0.2, 0.1), (0.1, 0.05)]
+    bench_pairs.print_trajectory(rows)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "localization run_s"
+    assert "zeta" in out[1] and "0.2000 -> 0.1000 s" in out[1]
+    assert "-50.0 %" in out[1] and "9/10 won" in out[1]
+    assert "alpha" in out[2] and len(out) == 3

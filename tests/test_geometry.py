@@ -116,6 +116,41 @@ def test_psi_jet_is_the_batch_by_batch_sum_bit_for_bit(d, ell, monkeypatch):
         assert set(calls) == nonempty and set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("d,ell", [(2, 0), (2, 1), (3, 1)])
+def test_windowed_search_equals_a_full_scan(d, ell):
+    # each level is searched only on the points its |x''| window admits; a
+    # full scan searches every level on every point, and both give the same
+    # triples in the same order
+    j_max = 5
+    cover = whitney_cover(ModelDomain(d, ell), ((-2,) * d, (2,) * d), j_max)
+    pou = PartitionOfUnity(cover)
+    rng = np.random.default_rng(29)
+    # random points; points in the 2^-j_max collar of S; points at
+    # |x''| = 1, the level-0 bound, exactly on the axes and to rounding off
+    # them
+    dirs = rng.normal(size=(d - ell, 300))
+    dirs /= np.linalg.norm(dirs, axis=0)
+    radii = np.r_[rng.uniform(0.0, 2.0 ** -j_max, 150), np.ones(150)]
+    axes = np.concatenate([np.eye(d - ell), -np.eye(d - ell)], axis=1)
+    inner = np.concatenate([dirs * radii, axes], axis=1)
+    x = np.concatenate(
+        [rng.uniform(-2.0, 2.0, (d, 600)),
+         np.concatenate([rng.uniform(-2.0, 2.0, (ell, inner.shape[1])),
+                         inner])], axis=1)
+    full = [(j, kk, ixs) for j in pou._tables
+            for kk, ixs in pou._level_batches(j, x)]
+    got = list(pou._neighbor_batches(x))
+    assert len(got) == len(full)
+    for (j, kk, ixs), (fj, fkk, fixs) in zip(got, full):
+        assert j == fj
+        assert np.array_equal(kk, fkk) and np.array_equal(ixs, fixs)
+    # the windows do leave points out
+    r = cover.domain.distance(x)
+    searched = sum(np.count_nonzero((r >= lo) & (r <= hi))
+                   for lo, hi in map(pou._window, pou._tables))
+    assert searched < len(pou._tables) * x.shape[1]
+
+
 def test_overlap_count_bounded(pou2d):
     rng = np.random.default_rng(8)
     pts = (rng.random((2, 500)) - 0.5) * 3.9

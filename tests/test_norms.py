@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from klab import norms
-from klab.errors import InvalidParams, Unsupported
+from klab.errors import InvalidParams, OutsideCover, Unsupported
 from klab.geometry import (ModelDomain, PartitionOfUnity,
                            regularized_distance, whitney_cover)
 from klab.jets import multi_indices
@@ -259,6 +259,29 @@ def test_piece_power_slices_match_unsliced(monkeypatch):
     sliced = [kondratiev_piece_power(u, pou, j, ks, 2, 0.5, 2.0)
               for j, ks in levels]
     assert sliced == pytest.approx(whole, rel=1e-12)
+
+
+def test_kept_piece_arrays_are_read_only():
+    pou = _small_pou(2, 0, 4)
+    u = make_test_function(1.2, 0.0, 1.0, pou.cover.domain)
+    j = min(j for j, ks in pou.cover.levels.items() if len(ks))
+    kondratiev_piece_power(u, pou, j, pou.cover.levels[j], 1, 0.5, 2.0, 4)
+    (pts, w, phi), = pou.pieces.values()
+    for arr in (pts, w, *phi.coeffs):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
+def test_outside_cover_keeps_nothing():
+    pou = _small_pou(2, 0, 4)
+    u = make_test_function(1.2, 0.0, 1.0, pou.cover.domain)
+    # a level-2 cube far outside the box: no bump reaches its nodes
+    for _ in range(2):
+        with pytest.raises(OutsideCover):
+            kondratiev_piece_power(u, pou, 2, (40, 40), 1, 0.5, 2.0, 4)
+        assert pou.pieces == {}
 
 
 def test_rloc_localized_matches_per_cube_reference():

@@ -152,6 +152,40 @@ def test_localization(fam, dom):
     assert r.passed
 
 
+def test_localization_repeats_on_a_kept_partition(dom):
+    # the second check multiplies the phi the first kept on the pou; a
+    # fresh pou evaluates phi anew: the ratios are equal, bit for bit
+    cov = standard_cover(dom, radius=2, j_max=5)
+    fam14, pou = default_family(dom), PartitionOfUnity(cov)
+    first = check_localization(fam14, 1, 0.5, 2.0, cov, pou, 4)
+    again = check_localization(fam14, 1, 0.5, 2.0, cov, pou, 4)
+    fresh = check_localization(fam14, 1, 0.5, 2.0, cov,
+                               PartitionOfUnity(cov), 4)
+    assert len(first.ratios) == 14
+    assert again.ratios == first.ratios and fresh.ratios == first.ratios
+
+
+def test_localization_evaluates_psi_once_per_slice(dom, monkeypatch):
+    cov = standard_cover(dom, radius=2, j_max=5)
+    pou = PartitionOfUnity(cov)
+    # three 16-node cubes per slice, so levels take several slices
+    monkeypatch.setattr(norms, "SLICE_NODES", 3 * 16)
+    slices = sum(-(-len(ks) // 3) for ks in cov.levels.values())
+    calls, psi_jet = [], PartitionOfUnity.psi_jet
+
+    def counted(self, x, order):
+        calls.append(x.shape[1])
+        return psi_jet(self, x, order)
+
+    monkeypatch.setattr(PartitionOfUnity, "psi_jet", counted)
+    fam14 = default_family(dom)
+    check_localization(fam14, 1, 0.5, 2.0, cov, pou, 4)
+    assert len(fam14) == 14 and len(calls) == slices > len(cov.counts)
+    calls.clear()
+    check_localization(fam14, 1, 0.5, 2.0, cov, pou, 4)
+    assert calls == []
+
+
 def test_rho_power_isomorphism(fam, dom, cover):
     r = check_rho_power_isomorphism(fam, 1, 0.5, 1.0, 2.0, dom, cover)
     assert r.passed and r.spread < 2.0

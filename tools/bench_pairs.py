@@ -13,8 +13,13 @@ median and quartiles on each side, how many pairs the change won (ties
 count for neither side), and the parent's interquartile range; then the
 failed and attempted operation counts of each side.  With --out it also
 writes that summary as JSON, with the seeds, the run length, both sides'
-commits and the provenance their benchmark runs printed.  Standard library
-only.
+commits and the provenance their benchmark runs printed.
+
+    python3 tools/bench_pairs.py --trajectory
+
+prints instead, per workload and end-to-end metric, the parent and change
+medians of every committed BENCH_*.json, in the order of the commits that
+added them.  Standard library only.
 """
 
 import argparse
@@ -39,13 +44,20 @@ def parse_seeds(text):
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="git ref to compare")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=parse_seeds, required=True,
+    parser.add_argument("--parent", help="git ref to compare")
+    parser.add_argument("--workload")
+    parser.add_argument("--seeds", type=parse_seeds,
                         help="seed list, e.g. 1-10 or 3,5,8")
     parser.add_argument("--out", type=Path,
                         help="write the summary to this JSON file")
-    return parser.parse_args(argv)
+    parser.add_argument("--trajectory", action="store_true",
+                        help="print the committed BENCH_*.json medians")
+    args = parser.parse_args(argv)
+    if not args.trajectory and None in (args.parent, args.workload,
+                                        args.seeds):
+        parser.error("--parent, --workload and --seeds are required "
+                     "without --trajectory")
+    return args
 
 
 def run_side(root, workload, seed, seconds):
@@ -113,13 +125,55 @@ def print_summary(summ):
               f"operations attempted")
 
 
-def git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def git(*args, root=ROOT):
+    return subprocess.run(["git", *args], cwd=root, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def committed_bench_files(root=ROOT):
+    """(commit, file name) of each committed BENCH_*.json still in the
+    tree, in the order of the commits that added them."""
+    log = git("log", "--reverse", "--diff-filter=A", "--name-only",
+              "--format=commit %h", "--", "BENCH_*.json", root=root)
+    out, commit = [], None
+    for line in log.splitlines():
+        if line.startswith("commit "):
+            commit = line.split()[1]
+        elif line and (root / line).exists():
+            out.append((commit, line))
+    return out
+
+
+def trajectory(root=ROOT):
+    """{(workload, metric): [(commit, change name, metric row), ...]} over
+    the committed BENCH_*.json files, in commit order."""
+    rows = {}
+    for commit, name in committed_bench_files(root):
+        summ = json.loads((root / name).read_text())
+        tag = name[len("BENCH_"):-len(f"_{summ['workload']}.json")]
+        for metric, row in summ["metrics"].items():
+            rows.setdefault((summ["workload"], metric), []).append(
+                (commit, tag, row))
+    return rows
+
+
+def print_trajectory(rows):
+    """One block per workload and metric, one line per committed pair."""
+    for (workload, metric), series in sorted(rows.items()):
+        print(f"{workload} {metric}")
+        for commit, tag, row in series:
+            parent, change = row["parent"]["median"], row["change"]["median"]
+            rel = (change / parent - 1.0) * 100.0 if parent else float("nan")
+            print(f"  {commit:9s} {tag:24s} {parent:9.4f} -> {change:.4f} "
+                  f"{row['unit']:3s} {rel:+6.1f} %  "
+                  f"{row['wins']}/{row['pairs']} won")
 
 
 def main(argv=None):
     args = parse_args(argv)
+    if args.trajectory:
+        print_trajectory(trajectory())
+        return 0
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
