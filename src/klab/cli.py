@@ -140,7 +140,7 @@ def _cmd_norm(args):
         oracle = member if args.kind == "kondratiev" else None
         nv, = cover_norms([terms[args.kind]()], cover, args.nodes, [oracle])
     else:
-        nv = rloc_norm_localized(u, params, cover, PartitionOfUnity(cover),
+        nv = rloc_norm_localized(u, params, PartitionOfUnity(cover),
                                  args.nodes)
     stats = nv.to_json()
     stats["oracleMember"] = member

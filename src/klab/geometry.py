@@ -4,6 +4,10 @@ The domains are R^d minus the plane R^ell x {0}^(d-ell); d = 2, ell = 0 is
 a planar vertex singularity.  Whitney covers are enumerated greedily level
 by level; the frozen certificate constants are ``C1 = 1`` (lower),
 ``C2 = 4 sqrt(d)`` (upper) and ``C0_LEVEL0 = 1`` for the coarsest level.
+
+Points are arrays of shape (d, n), one column per point (`as_points`); an
+(n, d) array or a 1-D point raises InvalidParams.  Cube keys are stacks:
+(N, d) per cube, or (d, n) per point for `PartitionOfUnity.bump_jet`.
 """
 
 import math
@@ -22,6 +26,15 @@ C2_FACTOR = 4.0  # upper certificate constant is C2_FACTOR * sqrt(d)
 C0_LEVEL0 = 1.0
 
 
+def as_points(x, d):
+    """x as a float array of shape (d, n); a float array is not copied."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != d:
+        raise InvalidParams(f"points must have shape (d, n) = ({d}, n), "
+                            f"got {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class ModelDomain:
     """R^d with the plane R^ell x {0}^(d-ell) removed."""
@@ -35,17 +48,12 @@ class ModelDomain:
 
     def distance(self, x):
         """dist(x, S) = |x''|, vectorized over points of shape (d, n)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.d:
-            x = x.T
+        x = as_points(x, self.d)
         return np.sqrt(np.sum(x[self.ell:] ** 2, axis=0))
 
     def cube_distance(self, lo, hi):
         """Exact dist(S, box) for boxes given by corner arrays (n, d)."""
-        lo = np.atleast_2d(np.asarray(lo, dtype=float))
-        hi = np.atleast_2d(np.asarray(hi, dtype=float))
-        lo2, hi2 = lo[:, self.ell:], hi[:, self.ell:]
-        nearest = np.clip(0.0, lo2, hi2)
+        nearest = np.clip(0.0, lo[:, self.ell:], hi[:, self.ell:])
         return np.sqrt(np.sum(nearest ** 2, axis=1))
 
 
@@ -57,7 +65,7 @@ def distance_jet(coords, ell):
     The singular set is tested on |x''|^2, before the root, whose outer
     derivatives would divide by zero there.
     """
-    sq = squared_norm_jet(coords, which=range(ell, len(coords)))
+    sq = squared_norm_jet(coords[ell:])
     if np.any(sq.value <= 0.0):
         raise SingularPoint("point lies on the singular set")
     return sq.sqrt()
@@ -72,12 +80,9 @@ def regularized_distance_from_jets(dist):
 
 def regularized_distance(x, domain):
     """rho(x) in (0, 1]; equals the exact distance below the cap knee.
-    The value of the order-0 jet, at points x of shape (d, n) or (n, d)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != domain.d:
-        x = x.T
-    return regularized_distance_from_jets(
-        distance_jet(Jet.variables(x, 0), domain.ell)).value
+    The value of the order-0 jet, at points x of shape (d, n)."""
+    return regularized_distance_from_jets(distance_jet(
+        Jet.variables(as_points(x, domain.d), 0), domain.ell)).value
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +202,9 @@ class PartitionOfUnity:
 
     # -- bump evaluation --------------------------------------------------
     def bump_jet(self, j, k, x, order=MAX_ORDER):
-        """Jet of the tensor bump of cube(s) (j, k) at points x (d, n).
-
-        `k` may be a single integer tuple or an array (d, n) of per-point
-        cube indices.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """Jet of the tensor bump of cubes (j, k) at points x (d, n), k the
+        (d, n) stack of per-point cube indices."""
         k = np.asarray(k, dtype=float)
-        if k.ndim == 1:
-            k = k[:, None]
         scale = 2.0 ** j
         out = None
         for i in range(self.d):
@@ -225,7 +224,7 @@ class PartitionOfUnity:
         # C order: on Fortran-ordered points (x[:, sel], or a transposed
         # (n, d) array) the scan's axis-0 reductions take two to three
         # times as long
-        x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
+        x = np.ascontiguousarray(x)
         r = self.cover.domain.distance(x)
         for j in self._tables:
             lo, hi = self._window(j)
@@ -277,14 +276,13 @@ class PartitionOfUnity:
         its updates in index order, so every point receives the same
         additions in the same order as batch by batch.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         total = Jet.constant(0.0, self.d, order, (x.shape[1],))
         # the batches come level by level
         for j, batches in groupby(self._neighbor_batches(x), itemgetter(0)):
             _, kks, ixss = zip(*batches)
             kk = np.concatenate(kks, axis=1)
             ixs = np.concatenate(ixss)
-            piece = self.bump_jet(j, kk, x[:, ixs], order)
+            piece = self.bump_jet(j, kk, x.take(ixs, axis=1), order)
             for m in range(len(total.coeffs)):
                 np.add.at(total.coeffs[m], ixs, piece.coeffs[m])
         return total
@@ -297,10 +295,9 @@ class PartitionOfUnity:
         return self.bump_jet(j, k, x, order) / psi
 
     def overlap_count(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         count = np.zeros(x.shape[1], dtype=int)
         for j, kk, ixs in self._neighbor_batches(x):
-            vals = self.bump_jet(j, kk, x[:, ixs], order=0).value
+            vals = self.bump_jet(j, kk, x.take(ixs, axis=1), order=0).value
             count[ixs] += (vals != 0.0).astype(int)
         return count
 

@@ -207,14 +207,10 @@ class Jet:
         return self.compose(derivs)
 
 
-def squared_norm_jet(coord_jets, which=None):
-    """Jet of the squared Euclidean norm of a subset of coordinates.
-
-    `which` selects coordinate positions (default: all).
-    """
-    sel = coord_jets if which is None else [coord_jets[i] for i in which]
-    sq = sel[0] * sel[0]
-    for c in sel[1:]:
+def squared_norm_jet(coord_jets):
+    """Jet of the squared Euclidean norm of the given coordinate jets."""
+    sq = coord_jets[0] * coord_jets[0]
+    for c in coord_jets[1:]:
         sq = sq + c * c
     return sq
 

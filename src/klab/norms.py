@@ -38,7 +38,7 @@ SLICE_NODES = 2 ** 15      # nodes per integrand call of ladders and pieces
 @dataclass(frozen=True)
 class SpaceParams:
     """Parameter bundle (m, a, p, tau; q = 2 throughout) over a d-dimensional
-    domain with an ell-dimensional singular set."""
+    domain with an ell-dimensional singular set; tau defaults to p."""
 
     m: int
     a: float
@@ -46,6 +46,10 @@ class SpaceParams:
     d: int
     ell: int
     tau: float = None
+
+    def __post_init__(self):
+        if self.tau is None:
+            object.__setattr__(self, "tau", self.p)
 
 
 @dataclass
@@ -208,7 +212,7 @@ def weighted_lp_terms(u, w, p):
 def rloc_weighted_terms(u, params):
     """Terms of the weighted refined-localization norm
     ||u | F^m_{tau,2}(D)|| + ||rho^{-m} u | L_tau(D)||."""
-    tau = params.p if params.tau is None else params.tau
+    tau = params.tau
     if not 1 < tau < np.inf:
         raise Unsupported("W^m_tau realization requires 1 < tau < inf")
     return (sobolev_terms(u, params.m, tau)
@@ -231,10 +235,10 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
 
     A norm is a list of terms (u, lo, hi, density, p): the sum over them of
     (sum_{lo <= |alpha| <= hi} int density(rho, alpha, d^alpha u))^{1/p}.
-    Each u gets one jet per slice, at the highest order its terms need,
-    from `u.jet_from_sample`: per slice there is one Sample for each order
-    the functions need, and the density's rho is the value of the
-    highest-order sample's rho jet.
+    Each u gets one jet per slice from `u.jet_from_sample`, on a Sample of
+    the highest order its terms need plus the `extra_order` u declares:
+    per slice there is one Sample for each such order, and the density's
+    rho is the value of the highest-order sample's rho jet.
     `oracles`, if given, holds one membership oracle per norm.
     """
     if not norms:
@@ -244,8 +248,8 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
     terms = [t for norm in norms for t in norm]
     order = {}
     for u, _, hi, _, _ in terms:
-        order[u] = max(order.get(u, 0), hi)
-    alphas = multi_indices(len(cover.box[0]), max(order.values()))
+        order[u] = max(order.get(u, 0), hi + u.extra_order)
+    alphas = multi_indices(len(cover.box[0]), max(t[2] for t in terms))
 
     def integrand(x):
         samples = {k: Sample(Jet.variables(x, k), cover.domain)
@@ -327,31 +331,30 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
 
 
 def kondratiev_piece_power(u, pou, j, k, m, a, p, nodes_per_dim=DEFAULT_NODES):
-    """sum_k ||phi_{j,k} u | K^m_{a,p}||^p over one level-j cube key k or a
-    key stack (N, d), each piece integrated on its doubled cube with the
-    exact product-rule jet of phi * u."""
-    return _piece_power_sum(u, pou, j, np.atleast_2d(k), m, _graded(a, p),
-                            nodes_per_dim)
+    """sum_k ||phi_{j,k} u | K^m_{a,p}||^p over the level-j cube key stack k
+    (N, d), each piece integrated on its doubled cube with the exact
+    product-rule jet of phi * u."""
+    return _piece_power_sum(u, pou, j, k, m, _graded(a, p), nodes_per_dim)
 
 
-def rloc_norm_localized(u, params, cover, pou, nodes_per_dim=DEFAULT_NODES,
-                        oracle_member=None):
+def rloc_norm_localized(u, params, pou, nodes_per_dim=DEFAULT_NODES):
     """Localized refined-localization norm
-    (sum_{j,l} ||phi_{j,l} u | F^m_{tau,2}||^tau)^{1/tau} for 1 < tau < inf.
+    (sum_{j,l} ||phi_{j,l} u | F^m_{tau,2}||^tau)^{1/tau} for 1 < tau < inf,
+    over the cover of the partition of unity pou.
 
     Pieces are measured in W^m_tau (= F^m_{tau,2}); tau <= 1 requires
     the wavelet sequence-norm route (wavelets module) instead.
     """
-    tau = params.p if params.tau is None else params.tau
+    tau = params.tau
     if not 1 < tau < np.inf:
         raise Unsupported("pieces are W^m_tau only for 1 < tau < inf; "
                           "use the wavelet sequence norm for tau <= 1")
     _check_order(params.m, tau)
     per_level = {j: _piece_power_sum(u, pou, j, ks, params.m, _plain(tau),
                                      nodes_per_dim)
-                 for j, ks in cover.levels.items()}
+                 for j, ks in pou.cover.levels.items()}
     out = _norm_value([(e, v ** (1.0 / tau)) for e, v in _ladder(per_level)],
-                      nodes_per_dim, oracle_member)
+                      nodes_per_dim, None)
     powers = list(accumulate(per_level[j] for j in sorted(per_level)))
     if tail_share(powers) > TAIL_SHARE_LIMIT and out.classification == FINITE:
         out.classification = INCONCLUSIVE

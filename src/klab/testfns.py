@@ -3,7 +3,8 @@
 The family is u(x) = rho(x)^beta * (1 + |log rho(x)|)^lam * zeta(|x|/R) with
 rho the regularized distance to the singular set (valued in (0, 1], so
 1 + |log rho| = 1 - log rho) and zeta the fixed C^4 radial cutoff that is 1 on
-[0, 1] and 0 on [2, inf).
+[0, 1] and 0 on [2, inf).  Points are arrays of shape (d, n)
+(`geometry.as_points`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .embeddings import compare
 from .errors import InvalidParams, Unsupported, UndeterminedByPaper
-from .geometry import distance_jet, regularized_distance_from_jets
+from .geometry import as_points, distance_jet, regularized_distance_from_jets
 from .jets import Jet
 from .profiles import CUTOFF, MAX_ORDER
 
@@ -114,6 +115,7 @@ class TestFunction:
     lam: float
     R: float
     domain: object
+    extra_order = 0   # orders its sample needs beyond its terms' (none)
 
     def __post_init__(self):
         if not self.R > 0:
@@ -144,9 +146,7 @@ class TestFunction:
 
     def jet(self, x, order=MAX_ORDER):
         """Jet of u at points x of shape (d, n)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.domain.d:
-            x = x.T
+        x = as_points(x, self.domain.d)
         return self.jet_from_sample(Sample(Jet.variables(x, order),
                                            self.domain))
 

@@ -263,22 +263,23 @@ def _partition_passed(sum_err, cert_ok, growth, ell):
 class DerivativeFunction:
     """d^alpha u with jets delegated to the closed family's exact jets.
 
-    Its sample's coordinates must be the variables at the sample's points,
-    as those of `cover_norms` are: u's jet is taken |alpha| orders higher
-    at the same points."""
+    It declares |alpha| extra orders, so `cover_norms` hands it a sample
+    |alpha| orders above its terms' highest, and u's jet on that sample is
+    the one u's own terms use."""
 
     def __init__(self, u, alpha):
         self.u = u
         self.alpha = tuple(int(k) for k in alpha)
+        self.extra_order = sum(self.alpha)
 
     def jet_from_sample(self, sample):
-        x = np.array([c.value for c in sample.coords])
-        return self.u.jet(x, sample.order + sum(self.alpha)).derivative_jet(
-            self.alpha)
+        return self.u.jet_from_sample(sample).derivative_jet(self.alpha)
 
 
 class PulledBackFunction:
     """u(A x) for a linear map A (diffeomorphism catalog entries)."""
+
+    extra_order = 0
 
     def __init__(self, u, matrix):
         self.u = u
@@ -300,6 +301,8 @@ class WindowedFunction:
     """phi_j(x) u(x) with the dyadic annular window phi_j = w(log2(1/|x|)-j).
 
     The windows of one sample share its |x|, its log2(1/|x|) and u's jet."""
+
+    extra_order = 0
 
     def __init__(self, u, j):
         self.u = u
@@ -463,7 +466,7 @@ def check_embedding_ratio(params, family, cover, J=10,
         raise InvalidParams(f"params give (d, ell) = ({params.d}, {params.ell}"
                             f"), the family lives on {domain.d, domain.ell}")
     m, a, p = params.m, params.a, params.p
-    tau = params.tau if params.tau is not None else p
+    tau = params.tau
     verdict = decide_embedding(m, a, p, tau, domain.d, domain.ell)
     if verdict.outcome != HOLDS:
         raise InvalidParams(f"embedding does not hold: {verdict.trigger}")
@@ -733,8 +736,8 @@ def check_partition_diagnostics(domain, j_max=8, n_points=10000,
     rng = np.random.default_rng(seed)
     lo = np.array(box[0], dtype=float)
     hi = np.array(box[1], dtype=float)
-    pts = lo + (hi - lo) * rng.random((n_points, domain.d))
-    pts = pts[~np.isclose(domain.distance(pts), 0.0)].T
+    pts = (lo + (hi - lo) * rng.random((n_points, domain.d))).T
+    pts = pts[:, ~np.isclose(domain.distance(pts), 0.0)]
     psi = pou.psi_jet(pts, order=0).value
     covered = psi > PSI_FLOOR
     # accumulate the normalized pieces independently so that floating-point
@@ -742,8 +745,8 @@ def check_partition_diagnostics(domain, j_max=8, n_points=10000,
     total = np.zeros(pts.shape[1])
     safe = np.where(covered, psi, 1.0)
     for j, kk, ixs in pou._neighbor_batches(pts):
-        total[ixs] += pou.bump_jet(j, kk, pts[:, ixs], order=0).value \
-            / safe[ixs]
+        vals = pou.bump_jet(j, kk, pts.take(ixs, axis=1), order=0).value
+        total[ixs] += vals / safe[ixs]
     sums = np.where(covered, total, 1.0)
     sum_err = float(np.max(np.abs(sums[covered] - 1.0))) if covered.any() \
         else 0.0

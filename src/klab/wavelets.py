@@ -304,7 +304,6 @@ def synthesize(system, j, k, gender, d):
     k = tuple(k)
 
     def fn(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.full(x.shape[1], 2.0 ** (j * d / 2.0))
         for i in range(d):
             t = 2.0 ** j * x[i] - k[i]

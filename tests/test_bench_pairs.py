@@ -54,6 +54,25 @@ def test_summary_of_one_pair_and_its_printout(capsys):
     assert "change: 0 failed of 10 operations attempted" in out
 
 
+def test_no_regression_rule_inside_and_outside_the_bound(capsys):
+    metrics = [dict(m, bound=0.25) for m in METRICS]
+    # run_s 1.0 -> 1.2 is 20 % worse, inside the bound; ops_per_s
+    # 10 -> 7 is 30 % worse (higher is better), outside it
+    summ = bench_pairs.summary(metrics, {"parent": [_result(1.0, 10.0)],
+                                         "change": [_result(1.2, 7.0)]})
+    assert summ["metrics"]["run_s"]["worse_beyond_bound"] is False
+    assert summ["metrics"]["ops_per_s"]["worse_beyond_bound"] is True
+    assert summ["metrics"]["run_s"]["bound"] == 0.25
+    bench_pairs.print_summary(summ)
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith("25% held") and out[2].endswith("25% WORSE")
+    # without a bound the metric is not judged
+    assert bench_pairs.summary(METRICS, {"parent": [_result(1.0, 10.0)],
+                                         "change": [_result(9.0, 1.0)]}
+                               )["metrics"]["run_s"]["worse_beyond_bound"] \
+        is None
+
+
 def test_run_side_keeps_the_result_and_the_provenance(monkeypatch):
     lines = [json.dumps({"provenance": {"seed": 7, "commit": None}}),
              "run_s 0.1 s", json.dumps(_result(0.1, 3.0))]

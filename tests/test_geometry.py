@@ -183,8 +183,8 @@ def test_regularized_distance_bounds():
     dom = ModelDomain(2, 0)
     rng = np.random.default_rng(5)
     pts = (rng.random((1000, 2)) - 0.5) * 6
-    rho = np.array([regularized_distance(p, dom) for p in pts])
-    dist = dom.distance(pts)
+    rho = np.array([regularized_distance(p[:, None], dom) for p in pts])
+    dist = dom.distance(pts.T)
     assert np.all(rho > 0)
     assert np.all(rho <= 1.0 + 1e-15)
     near = dist < 0.05
@@ -205,7 +205,7 @@ def test_rho_derivative_bound(alpha, bound):
     rng = np.random.default_rng(11)
     pts = 10.0 ** rng.uniform(-3, 0.5, size=(200, 1)) \
         * rng.standard_normal((200, 2))
-    pts = pts[dom.distance(pts) > 1e-6]
+    pts = pts[dom.distance(pts.T) > 1e-6]
     order = sum(alpha)
     for p in pts[:120]:
         jet = Sample(Jet.variables(p.reshape(2, 1), order), dom).rho()

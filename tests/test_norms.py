@@ -39,7 +39,7 @@ def reference_lp_power(u, w_exp, p, eps=2.0 ** -12, R_out=2.2):
     def g(r):
         x = np.array([[r], [0.0]])
         rho = float(np.atleast_1d(
-            regularized_distance(np.array([r, 0.0]), u.domain))[0])
+            regularized_distance(np.array([[r], [0.0]]), u.domain))[0])
         return abs(float(u(x)[0])) ** p * rho ** (w_exp * p) * 2 * math.pi * r
 
     val, err = quad(g, eps, R_out, limit=400)
@@ -197,13 +197,19 @@ def test_rho_power_multiplication(dom, cover):
     assert a.value == pytest.approx(b.value, rel=1e-10)
 
 
+def test_tau_defaults_to_p():
+    assert SpaceParams(m=1, a=0.5, p=2.5, d=2, ell=0, tau=None).tau == 2.5
+    assert SpaceParams(m=1, a=0.5, p=2.5, d=2, ell=0).tau == 2.5
+    assert SpaceParams(m=1, a=0.5, p=2.5, d=2, ell=0, tau=1.5).tau == 1.5
+
+
 def test_rloc_weighted_vs_localized(dom):
     cov = whitney_cover(dom, ((-2, -2), (2, 2)), 8)
     pou = PartitionOfUnity(cov)
     params = SpaceParams(m=1, a=1.0, p=2.0, d=2, ell=0, tau=2.0)
     u = make_test_function(1.0, 0.0, 1.0, dom)
     w, = cover_norms([rloc_weighted_terms(u, params)], cov)
-    loc = rloc_norm_localized(u, params, cov, pou)
+    loc = rloc_norm_localized(u, params, pou)
     assert 1 / 50 < loc.value / w.value < 50
 
 
@@ -213,7 +219,7 @@ def test_rloc_localized_rejects_small_tau(dom):
     params = SpaceParams(m=1, a=1.0, p=2.0, d=2, ell=0, tau=0.9)
     u = make_test_function(1.0, 0.0, 1.0, dom)
     with pytest.raises(Unsupported):
-        rloc_norm_localized(u, params, cov, pou)
+        rloc_norm_localized(u, params, pou)
 
 
 def test_piece_powers_sum_to_global(dom):
@@ -243,7 +249,7 @@ def test_level_piece_power_equals_single_cube_sum(d, ell, m):
         if not len(ks):
             continue
         level = kondratiev_piece_power(u, pou, j, ks, m, 0.5, 2.0, nodes)
-        single = sum(kondratiev_piece_power(u, pou, j, tuple(k), m, 0.5, 2.0,
+        single = sum(kondratiev_piece_power(u, pou, j, k[None], m, 0.5, 2.0,
                                             nodes) for k in ks)
         assert level == pytest.approx(single, rel=1e-12)
 
@@ -280,7 +286,8 @@ def test_outside_cover_keeps_nothing():
     # a level-2 cube far outside the box: no bump reaches its nodes
     for _ in range(2):
         with pytest.raises(OutsideCover):
-            kondratiev_piece_power(u, pou, 2, (40, 40), 1, 0.5, 2.0, 4)
+            kondratiev_piece_power(u, pou, 2, np.array([[40, 40]]), 1, 0.5,
+                                   2.0, 4)
         assert pou.pieces == {}
 
 
@@ -301,7 +308,7 @@ def test_rloc_localized_matches_per_cube_reference():
             total += sum(np.sum(np.abs(piece.derivative(al)) ** tau
                                 * wts * (2.0 * side) ** 2)
                          for al in multi_indices(2, m))
-    value = rloc_norm_localized(u, params, cov, pou, nodes).value
+    value = rloc_norm_localized(u, params, pou, nodes).value
     assert value == pytest.approx(total ** (1.0 / tau), rel=1e-12)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klab.errors import UndeterminedByPaper
-from klab.geometry import ModelDomain
+from klab.errors import InvalidParams, UndeterminedByPaper
+from klab.geometry import ModelDomain, regularized_distance
 from klab.testfns import (f_space_membership_radial, kondratiev_membership,
                           make_test_function)
 
@@ -67,6 +67,25 @@ def _assert_singular_point_raises(dom):
     with pytest.raises(SingularPoint):
         pulled.jet_from_sample(Sample(
             Jet.variables(np.array([[0.5, 0.3], [-0.5, 0.2]]), 2), dom))
+
+
+def test_points_are_columns_whatever_their_count(dom):
+    # a (2, 2) array holds two points as columns, as a (2, 3) array holds
+    # three; rows are refused (next test), since with n = d a guess from
+    # the shape read two rows as two columns, silently
+    u = make_test_function(1.2, -0.7, 1.0, dom)
+    three = np.array([[0.1, 0.3, 0.5], [0.2, 0.1, -0.4]])
+    for evaluate in (dom.distance, lambda x: regularized_distance(x, dom), u):
+        np.testing.assert_allclose(evaluate(three[:, :2]),
+                                   evaluate(three)[:2], rtol=1e-14)
+
+
+@pytest.mark.parametrize("x", [np.full((3, 2), 0.3), np.array([0.3, 0.2])])
+def test_rows_and_single_points_raise(dom, x):
+    u = make_test_function(1.2, -0.7, 1.0, dom)
+    for evaluate in (dom.distance, lambda x: regularized_distance(x, dom), u):
+        with pytest.raises(InvalidParams):
+            evaluate(x)
 
 
 def test_singular_point_raises(dom):

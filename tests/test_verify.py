@@ -319,6 +319,24 @@ def test_derivative_mapping(fam, dom, cover):
     assert r.passed
 
 
+def test_derivative_mapping_evaluates_u_once_per_slice(dom, monkeypatch):
+    # d^alpha u takes u's jet from the cover's sample, the one u's own
+    # terms use, so the cap runs once per slice and member; the ratios are
+    # the ones the separate evaluation of d^alpha u gave
+    from klab.profiles import CAP
+    cover = standard_cover(dom, radius=2, j_max=8)
+    fam = default_family(dom, betas=(1.2, 2.0), lambdas=(0.0,))
+    monkeypatch.setattr(norms, "SLICE_NODES", 4096)
+    slices = -(-sum(len(ks) for ks in cover.levels.values()) * 16 // 4096)
+    calls, derivs = [], CAP.derivs
+    monkeypatch.setattr(CAP, "derivs",
+                        lambda t, order: calls.append(order) or derivs(t, order))
+    r = check_derivative_mapping(fam, 2, (1, 0), 2.0, dom, cover,
+                                 nodes_per_dim=4)
+    assert calls == [2] * (slices * len(fam)) and slices > 1
+    assert r.ratios == [0.7980217673601244, 0.8304541143679786]
+
+
 def test_diffeo_catalog(dom, cover):
     u = make_test_function(1.2, 0.0, 1.0, dom)
     for name in DIFFEO_CATALOG:

@@ -10,8 +10,10 @@ of BENCHMARK.json one after the other, with the side that runs first
 swapped from one pair to the next, so drift in the host's speed falls on
 both.  For each end-to-end metric of BENCHMARK.json the tool prints the
 median and quartiles on each side, how many pairs the change won (ties
-count for neither side), and the parent's interquartile range; then the
-failed and attempted operation counts of each side.  With --out it also
+count for neither side), the parent's interquartile range, and whether
+the change median is worse than the parent median by more than the
+metric's relative bound (the no-regression rule); then the failed and
+attempted operation counts of each side.  With --out it also
 writes that summary as JSON, with the seeds, the run length, both sides'
 commits and the provenance their benchmark runs printed.
 
@@ -82,10 +84,20 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def beyond_bound(parent, change, better, bound):
+    """True when change is worse than parent by more than bound * |parent|;
+    None for a metric without a bound."""
+    if bound is None:
+        return None
+    sign = 1.0 if better == "lower" else -1.0
+    return sign * (change - parent) > bound * abs(parent)
+
+
 def summary(metrics, results):
     """Per end-to-end metric: each side's median and quartiles, the pairs
-    the change won and the parent's interquartile range; per side: the
-    failed and attempted operations."""
+    the change won, the parent's interquartile range and whether the
+    change median breaks the metric's bound; per side: the failed and
+    attempted operations."""
     out = {"metrics": {}, "operations": {}}
     for spec in metrics:
         name = spec["name"]
@@ -101,6 +113,10 @@ def summary(metrics, results):
             row[side] = {"median": q2, "q1": q1, "q3": q3,
                          "values": sides[side]}
         row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
+        row["bound"] = spec.get("bound")
+        row["worse_beyond_bound"] = beyond_bound(
+            row["parent"]["median"], row["change"]["median"], spec["better"],
+            row["bound"])
         out["metrics"][name] = row
     for side in ("parent", "change"):
         out["operations"][side] = {
@@ -112,14 +128,18 @@ def summary(metrics, results):
 def print_summary(summ):
     """One row per end-to-end metric, then the operation counts."""
     print(f"{'metric':14s} {'parent median [q1, q3]':>34s} "
-          f"{'change median [q1, q3]':>34s} {'wins':>7s} {'parent IQR':>11s}")
+          f"{'change median [q1, q3]':>34s} {'wins':>7s} {'parent IQR':>11s} "
+          f"{'bound':>13s}")
     for name, row in summ["metrics"].items():
         cols = [f"{row[side]['median']:.4f} [{row[side]['q1']:.4f}, "
                 f"{row[side]['q3']:.4f}] {row['unit']}"
                 for side in ("parent", "change")]
         wins = f"{row['wins']:>3d}/{row['pairs']:<3d}"
+        verdict = {None: "-", False: "held", True: "WORSE"}[
+            row["worse_beyond_bound"]]
+        bound = "" if row["bound"] is None else f"{row['bound']:.0%} "
         print(f"{name:14s} {cols[0]:>34s} {cols[1]:>34s} {wins} "
-              f"{row['parent_iqr']:11.4f}")
+              f"{row['parent_iqr']:11.4f} {bound + verdict:>13s}")
     for side, ops in summ["operations"].items():
         print(f"{side}: {ops['failed']} failed of {ops['attempted']} "
               f"operations attempted")
