@@ -71,8 +71,8 @@ def _assert_singular_point_raises(dom):
 
 def test_points_are_columns_whatever_their_count(dom):
     # a (2, 2) array holds two points as columns, as a (2, 3) array holds
-    # three; rows are refused (next test), since with n = d a guess from
-    # the shape read two rows as two columns, silently
+    # three; rows are refused (next test), since with n = d no guess from
+    # the shape can tell rows from columns
     u = make_test_function(1.2, -0.7, 1.0, dom)
     three = np.array([[0.1, 0.3, 0.5], [0.2, 0.1, -0.4]])
     for evaluate in (dom.distance, lambda x: regularized_distance(x, dom), u):
