@@ -192,7 +192,7 @@ class CoefficientGrid:
     levels[j][gender] = (origin, array) with gender a string over {A, D} of
     length d ('A' = scaling direction); level 0 carries the pure-scaling band
     'A'*d in addition to the wavelet genders.  The bands of one level share
-    one origin and are views of one array.
+    one origin and shape; each is its own array.
     """
 
     d: int
@@ -216,19 +216,24 @@ def _analyze_axis(arr, origin, bank, axis):
 
     `origin` is the integer index of the first entry along that axis; A is
     zero outside the array.  Only the kept (every second) outputs are
-    computed: A is padded by F - 1 zeros on both sides, and each kept window
-    of F entries along the axis is multiplied by the bank, one matrix
-    product for all r filters.  Returns (output array, output origin); the
-    output has a new last axis of length r, one entry per filter.
+    computed: A is copied into a zeroed buffer with F - 1 cells of margin
+    on both sides of the axis, and each kept window of F entries along the
+    axis is multiplied by the bank, one matrix product for all r filters.
+    Returns (output array, output origin); the output has a new last axis
+    of length r, one entry per filter.
     """
     F = len(bank)
     L = arr.shape[axis]
     k0 = -(-(origin - F + 1) // 2)               # ceil division
     t0 = 2 * k0 - origin + F - 1                 # 0 or 1
     n = (L + F - t0) // 2                        # outputs k0 .. k0 + n - 1
-    widths = [(0, 0)] * arr.ndim
-    widths[axis] = (F - 1, F - 1)
-    windows = sliding_window_view(np.pad(arr, widths), F, axis=axis)
+    shape = list(arr.shape)
+    shape[axis] += 2 * (F - 1)
+    buf = np.zeros(shape)
+    inner = [slice(None)] * arr.ndim
+    inner[axis] = slice(F - 1, F - 1 + L)
+    buf[tuple(inner)] = arr
+    windows = sliding_window_view(buf, F, axis=axis)
     sl = [slice(None)] * arr.ndim
     sl[axis] = slice(t0, t0 + 2 * n - 1, 2)
     return windows[tuple(sl)] @ bank, k0
@@ -246,7 +251,9 @@ def wavelet_coefficients(u, system, J, box, projection="sample"):
     Each level is d passes of `_analyze_axis` with the bank (h, g) over one
     array: pass i appends a gender axis (0 = 'A', 1 = 'D') for axis i, so
     after d passes the 2^d bands are the slices [..., g_0, ..., g_{d-1}] of
-    one stack and share one origin.  The band 'A'*d feeds the next level.
+    one stack and share one origin.  The 2^d - 1 wavelet bands are copied
+    out of the stack; the band 'A'*d feeds the next level, whose first pass
+    copies it, so the stack is freed one level later.
     """
     if J > MAX_LEVEL:
         raise Unsupported(f"J capped at {MAX_LEVEL} by the cascade resolution")
@@ -285,17 +292,18 @@ def wavelet_coefficients(u, system, J, box, projection="sample"):
         raise InvalidParams("projection must be 'sample' or 'table'")
 
     bank = np.stack([system.filter, system.gfilter], 1)
+    genders = list(np.ndindex((2,) * d))         # genders[0] is 'A' * d
     grid = CoefficientGrid(d=d, J=J)
     origin = [int(v) for v in k_lo]
     for j in range(J, 0, -1):
         for axis in range(d):
             arr, origin[axis] = _analyze_axis(arr, origin[axis], bank, axis)
         o = tuple(origin)
-        bands = {"".join("AD"[i] for i in g): (o, arr[(...,) + g])
-                 for g in np.ndindex((2,) * d)}
-        arr = bands.pop("A" * d)[1]
-        grid.levels[j - 1] = bands               # analysis of level-j scaling
-    grid.levels.setdefault(0, {})["A" * d] = (tuple(origin), arr)
+        grid.levels[j - 1] = {                   # analysis of level-j scaling
+            "".join("AD"[i] for i in g): (o, arr[(...,) + g].copy())
+            for g in genders[1:]}
+        arr = arr[(...,) + genders[0]]
+    grid.levels.setdefault(0, {})["A" * d] = (tuple(origin), arr.copy())
     return grid
 
 
@@ -341,6 +349,30 @@ def _fine_box(coeffs):
     return np.floor(lo).astype(int), np.ceil(hi).astype(int)
 
 
+def _reach(coeffs, levels):
+    """Per level j of `levels`, the hull [lo, hi) in level-j cells of the
+    bands of every level >= j (None where those levels hold no band)."""
+    out, hull = [], None
+    for n in range(len(levels) - 1, -1, -1):
+        if hull is not None:                     # coarsen to this level
+            f = 2 ** (levels[n + 1] - levels[n])
+            hull = (hull[0] // f, -(-hull[1] // f))
+        for origin, arr in coeffs.levels[levels[n]].values():
+            k0, k1 = np.asarray(origin), np.add(origin, arr.shape)
+            hull = (k0, k1) if hull is None else (np.minimum(hull[0], k0),
+                                                 np.maximum(hull[1], k1))
+        out.append(hull)
+    return out[::-1]
+
+
+def _upsample(arr, f):
+    """Each entry of arr repeated f times along every axis."""
+    out = np.empty(tuple(n * f for n in arr.shape))
+    out.reshape([v for n in arr.shape for v in (n, f)])[...] = \
+        arr.reshape([v for n in arr.shape for v in (n, 1)])
+    return out
+
+
 def f_sequence_norm(coeffs, s, tau):
     """L_tau norm of the square function of the coefficient grid.
 
@@ -349,9 +381,14 @@ def f_sequence_norm(coeffs, s, tau):
     levels carry more than 10% of the integral (`norms.tail_share`).
 
     The square function restricted to levels <= j is constant on level-j
-    cells, so one unit slab of the box at a time it is accumulated coarse to
-    fine, S_j = upsample(S_j-1) + sum_G 4^{j(s+d/2)} lambda_{j,G}^2, and
-    integrated at level-j resolution.
+    cells.  It is accumulated coarse to fine, S_j = upsample(S_j-1) +
+    sum_G 4^{j(s+d/2)} lambda_{j,G}^2, on nested active boxes: the first is
+    the fine box, and each next one is the `_reach` of the finer levels,
+    widened to whole cells of the level before and clipped to the box
+    before.  A cell that leaves the active box keeps its S at every finer
+    level, so its S^{tau/2} volume goes once into a running integral of
+    finished cells; partial_j is that integral plus the sum of
+    S_j^{tau/2} 2^{-jd} over the box.
     """
     d = coeffs.d
     side = compare(s, sigma(tau, 2, d))
@@ -361,30 +398,38 @@ def f_sequence_norm(coeffs, s, tau):
     if box is None:
         return NormValue(value=0.0, truncations=[(2.0 ** -coeffs.J, 0.0)],
                          classification=FINITE, quadrature_order=0)
-    lo, hi = box
     levels = sorted(coeffs.levels)
-    partial = {j: 0.0 for j in levels}           # integral with levels <= j
-    for row in range(lo[0], hi[0]):
-        # the slab row <= x_0 < row + 1, in level-j cell indices [a, b)
-        a = np.array([row, *lo[1:]])
-        b = np.array([row + 1, *hi[1:]])
-        sq, prev = np.zeros(b - a), 0
-        for j in levels:
-            for ax in range(d):
-                sq = np.repeat(sq, 2 ** (j - prev), axis=ax)
-            prev = j
-            weight = 4.0 ** (j * (s + d / 2.0))
-            for origin, arr in coeffs.levels[j].values():
-                k0 = np.maximum(a * 2 ** j, origin)
-                k1 = np.minimum(b * 2 ** j, np.add(origin, arr.shape))
-                if np.any(k0 >= k1):
-                    continue
-                src = tuple(map(slice, k0 - origin, k1 - origin))
-                dst = tuple(map(slice, k0 - a * 2 ** j, k1 - a * 2 ** j))
-                sq[dst] += arr[src] ** 2 * weight
-            partial[j] += float(np.sum(sq ** (tau / 2.0))) * 2.0 ** (-j * d)
-    truncs = [(2.0 ** -j, partial[j] ** (1.0 / tau)) for j in levels]
-    share = tail_share([partial[j] for j in levels])
+    reach = _reach(coeffs, levels)
+    a, b = (v * 2 ** levels[0] for v in box)     # the active box [a, b)
+    sq = np.zeros(b - a)
+    done, partial = 0.0, []                      # integral with levels <= j
+    for n, j in enumerate(levels):
+        weight = 4.0 ** (j * (s + d / 2.0))
+        for origin, arr in coeffs.levels[j].values():
+            k0 = np.maximum(a, origin)
+            k1 = np.minimum(b, np.add(origin, arr.shape))
+            if np.any(k0 >= k1):
+                continue
+            term = arr[tuple(map(slice, k0 - origin, k1 - origin))] ** 2
+            term *= weight
+            sq[tuple(map(slice, k0 - a, k1 - a))] += term
+            del term
+        keep, nxt = (slice(0, 0),) * d, None     # cells that stay active
+        if n + 1 < len(levels):
+            f = 2 ** (levels[n + 1] - j)
+            r0, r1 = reach[n + 1] or (a * f, a * f)
+            k0 = np.clip(r0 // f, a, b)
+            k1 = np.clip(-(-r1 // f), k0, b)
+            keep = tuple(map(slice, k0 - a, k1 - a))
+            nxt, a, b = _upsample(sq[keep], f), k0 * f, k1 * f
+        sq **= tau / 2.0
+        inside = float(np.sum(sq[keep]))
+        sq[keep] = 0.0
+        done += float(np.sum(sq)) * 2.0 ** (-j * d)
+        partial.append(done + inside * 2.0 ** (-j * d))
+        sq = nxt
+    truncs = [(2.0 ** -j, v ** (1.0 / tau)) for j, v in zip(levels, partial)]
+    share = tail_share(partial)
     return NormValue(value=truncs[-1][1], truncations=truncs,
                      classification=INCONCLUSIVE if share > TAIL_SHARE_LIMIT
                      else FINITE, quadrature_order=0)

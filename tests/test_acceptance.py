@@ -3,7 +3,7 @@
 Each test runs its criterion's `klab.verify.EXPERIMENTS` entry, the one that
 `klab verify NAME` runs, prints a single PASS/FAIL line with its headline
 statistic and runtime, appends it to acceptance.log at the repository root,
-then asserts the stated tolerance and budget.
+then asserts the report's own verdict, the stated tolerance and budget.
 """
 
 import time
@@ -51,6 +51,7 @@ def test_criterion_2_norm_equivalence_with_quadrature_doubling():
           and change < 0.10 and dt < 300)
     report(2, ok, f"{len(r.ratios)} members, spread {r.spread:.2f}, "
            f"doubling change {100 * change:.2f}%", dt, 300)
+    assert r.passed
     assert len(r.ratios) >= 10
     assert r.spread < 50
     assert change < 0.10
@@ -61,6 +62,7 @@ def test_criterion_3_localization():
     r, dt = run("localization")
     ok = r.passed and r.spread < 50 and dt < 600
     report(3, ok, f"{len(r.ratios)} members, spread {r.spread:.2f}", dt, 600)
+    assert r.passed
     assert r.spread < 50
     assert dt < 600
 
@@ -71,6 +73,7 @@ def test_criterion_4_sharpness_divergence():
     report(4, ok, f"fitted exponent {r.fitted_exponent:.4f} "
            f"(predicted {r.predicted_exponent:.4f}), "
            f"K-ladder Cauchy: {r.kondratiev_cauchy}", dt, 60)
+    assert r.passed
     assert abs(r.fitted_exponent - r.predicted_exponent) <= 0.05
     assert r.kondratiev_cauchy
     assert dt < 60
@@ -84,6 +87,7 @@ def test_criterion_5_embedding_positive_direction():
           and all(t < 0.10 for t in tails) and dt < 1800)
     report(5, ok, f"ratios {[round(x, 3) for x in r.ratios]}, "
            f"max tail share {max(tails):.2e}", dt, 1800)
+    assert r.passed
     assert len(r.ratios) == 3
     assert all(np.isfinite(r.ratios))
     assert all(t < 0.10 for t in tails)
@@ -96,6 +100,7 @@ def test_criterion_6_scaling_identity():
     errs = [c["relativeError"] for c in r.result["cases"]]
     ok = all(e <= 1e-10 for e in errs) and dt < 60
     report(6, ok, f"relative errors {errs}", dt, 60)
+    assert r.passed
     assert len(errs) == 2
     assert all(e <= 1e-10 for e in errs)
     assert dt < 60
@@ -109,6 +114,7 @@ def test_criterion_7_geometry_invariants():
         f"ell={ell}: sum err {v['partitionSumError']:.1e}, certs "
         f"{v['certificatesExact']}, growth {[round(g, 2) for g in v['growthRates']]}"
         for ell, v in results.items()), dt, 60)
+    assert r.passed
     assert set(results) == {0, 1}
     for ell, v in results.items():
         assert v["partitionSumError"] <= 1e-10
@@ -135,6 +141,7 @@ def test_criterion_9_wavelet_route_consistency():
     ok = r.passed and r.spread < 100 and parseval < 0.01 and dt < 900
     report(9, ok, f"{len(r.ratios)} members, spread {r.spread:.2f}, "
            f"Parseval error {parseval:.2e}", dt, 900)
+    assert r.passed
     assert r.spread < 100
     assert parseval < 0.01
     assert dt < 900

@@ -183,11 +183,18 @@ def test_regularized_distance_bounds():
     dom = ModelDomain(2, 0)
     rng = np.random.default_rng(5)
     pts = (rng.random((1000, 2)) - 0.5) * 6
-    rho = np.array([regularized_distance(p[:, None], dom) for p in pts])
+    # and points at radii 1e-3 .. 0.04 around the vertex, which none of
+    # the uniform draws comes near
+    r = np.geomspace(1e-3, 0.04, 16)
+    t = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    pts = np.concatenate([pts, np.stack([r * np.cos(t), r * np.sin(t)], 1)])
+    rho = regularized_distance(pts.T, dom)
     dist = dom.distance(pts.T)
+    assert rho.shape == dist.shape == (len(pts),)
     assert np.all(rho > 0)
     assert np.all(rho <= 1.0 + 1e-15)
     near = dist < 0.05
+    assert near.sum() > 0
     # rho equals the true distance well below the cap knee
     assert np.allclose(rho[near], dist[near])
     far = dist > 2.0

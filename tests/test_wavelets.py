@@ -210,6 +210,66 @@ def test_sequence_norm_matches_fine_grid_square_function(sys1, d, s, tau):
         fine_grid_partial_norms(grid, s, tau), rel=1e-12)
 
 
+def _zero_finest_levels(grid, count):
+    for j in range(grid.J - count, grid.J):
+        for gender, (origin, arr) in grid.levels[j].items():
+            grid.levels[j][gender] = (origin, np.zeros_like(arr))
+    return grid
+
+
+def _ragged_bands(grid):
+    """Crop the bands of two middle levels to different sub-boxes, so the
+    bands of a level differ in extent and finer levels reach past coarser
+    ones."""
+    for j, keep in ((grid.J - 2, ((0.0, 0.5), (0.5, 1.0), (0.25, 0.75))),
+                    (grid.J - 3, ((0.4, 0.6),) * 3)):
+        for (gender, (origin, arr)), (f0, f1) in zip(
+                sorted(grid.levels[j].items()), keep):
+            start = [int(f0 * n) for n in arr.shape]
+            stop = [max(int(f1 * n), a + 1) for a, n in zip(start, arr.shape)]
+            grid.levels[j][gender] = (
+                tuple(o + a for o, a in zip(origin, start)),
+                arr[tuple(map(slice, start, stop))].copy())
+    return grid
+
+
+ACTIVE_BOX_GRIDS = {
+    # d = 3, the support off the box centre on every axis
+    "d3": lambda: wavelet_coefficients(
+        _clipped_bump((0.2, -0.4, 0.9), 0.6), build_wavelet_system(1), 3,
+        ((-2.0,) * 3, (2.0,) * 3)),
+    # m = 2: 12-tap filters, so the coarse bands reach far past the box
+    "m2": lambda: wavelet_coefficients(
+        lambda x: np.exp(-2.0 * np.sum(x ** 2, axis=0)) * (x[0] > -0.3),
+        build_wavelet_system(2), 4, ((-2.0, -2.0), (2.0, 2.0))),
+    # an off-centre u: the active boxes are asymmetric
+    "off-centre": lambda: wavelet_coefficients(
+        _clipped_bump((0.6, -0.9), 0.3), build_wavelet_system(1), 5,
+        ((-2.0, -2.0), (2.0, 2.0))),
+    "finest-zero": lambda: _zero_finest_levels(wavelet_coefficients(
+        _clipped_bump((-0.7, 0.4), 0.5), build_wavelet_system(2), 5,
+        ((-2.0, -2.0), (2.0, 2.0))), 2),
+    # one level-3 wavelet: every other coefficient is at rounding level
+    "impulse": lambda: wavelet_coefficients(
+        synthesize(build_wavelet_system(1), 3, (1,), "D", d=1),
+        build_wavelet_system(1), 7, ((-2.0,), (2.0,)), projection="table"),
+    "ragged": lambda: _ragged_bands(wavelet_coefficients(
+        _clipped_bump((0.3, 0.5), 0.8), build_wavelet_system(1), 5,
+        ((-2.0, -2.0), (2.0, 2.0)))),
+}
+
+
+@pytest.mark.parametrize("s, tau", [(1.0, 0.9), (1.0, 1.0), (2.0, 0.7)])
+@pytest.mark.parametrize("case", sorted(ACTIVE_BOX_GRIDS))
+def test_sequence_norm_on_active_boxes_matches_fine_grid(case, s, tau):
+    # the nested active boxes of f_sequence_norm against the square
+    # function spread over every cell of the finest grid
+    grid = ACTIVE_BOX_GRIDS[case]()
+    nv = f_sequence_norm(grid, s=s, tau=tau)
+    assert [v for _, v in nv.truncations] == pytest.approx(
+        fine_grid_partial_norms(grid, s, tau), rel=1e-12)
+
+
 def test_sequence_norm_guards_sigma(sys1):
     def u(x):
         return np.exp(-4.0 * x[0] ** 2)
