@@ -58,10 +58,24 @@ def sigma(tau, q, d):
     return d * (1.0 / min(1.0, tau, q) - 1.0)
 
 
+def check_params(m, d, delta=0, p=None, tau=None, name="delta"):
+    """Raise InvalidParams unless 1 < p and 0 < tau (where given), m is a
+    positive integer and 0 <= delta < d; `name` is delta's name in the
+    message."""
+    if p is not None and not 1 < p:
+        raise InvalidParams("p must lie in (1, inf)")
+    if tau is not None and not 0 < tau:
+        raise InvalidParams("tau must be positive")
+    if not (m >= 1 and float(m).is_integer()):
+        raise InvalidParams("m must be a positive integer")
+    if not 0 <= delta < d:
+        raise InvalidParams(f"need 0 <= {name} < d, got {name} = {delta}, "
+                            f"d = {d}")
+
+
 def adaptivity_scale(d, m):
     """tau on the adaptivity scale: m = d(1/tau - 1/2), always < 2."""
-    if not m > 0:
-        raise InvalidParams("m must be positive")
+    check_params(m, d)
     return 1.0 / (m / d + 0.5)
 
 
@@ -69,14 +83,7 @@ def decide_embedding(m, a, p, tau, d, delta):
     """K^m_{a,p} -> F^{m,rloc}_{tau,2}: holds iff (tau < p and
     m - a < (d - delta)(1/tau - 1/p)) or (tau = p and m <= a); requires
     m > sigma_{tau,2} for the target space to make sense."""
-    if not (1 < p):
-        raise InvalidParams("p must lie in (1, inf)")
-    if not (0 < tau):
-        raise InvalidParams("tau must be positive")
-    if m < 1:
-        raise InvalidParams("m must be a positive integer")
-    if not (0 <= delta < d):
-        raise InvalidParams("delta must lie in [0, d)")
+    check_params(m, d, delta, p, tau)
     sig = sigma(tau, 2, d)
     bound = (d - delta) * (1.0 / tau - 1.0 / p)
     values = {"m": m, "a": a, "p": p, "tau": tau, "d": d, "delta": delta,
@@ -109,15 +116,12 @@ def decide_embedding_holder_route(m, a, p, tau, d, ell):
     1/tau - 1 < m/d < 1/p.  Improved route: m - a < (d - ell)(1/tau - 1/p)
     and 1/tau - 1 < m/(d - ell) < 1/p.  Returns (Verdict, HolderRoute).
     """
-    if not (0 <= ell <= d - 1):
-        raise InvalidParams("ell must lie in [0, d-1]")
+    check_params(m, d, ell, p, tau, name="ell")
     if not tau < p:
         raise InvalidParams("the Holder route requires tau < p")
     inv_eta = m / d + 1.0 / tau - 1.0 / p
-    inv_r = 1.0 / tau - 1.0 / p
-    route = HolderRoute(applies=inv_eta > 0 and inv_r > 0,
-                        eta=(1.0 / inv_eta if inv_eta > 0 else float("inf")),
-                        r=(1.0 / inv_r if inv_r > 0 else float("inf")))
+    inv_r = 1.0 / tau - 1.0 / p          # both > 0 once m >= 1, 0 < tau < p
+    route = HolderRoute(applies=True, eta=1.0 / inv_eta, r=1.0 / inv_r)
     bound = (d - ell) * inv_r
     cmps = {"main_gap": [compare((d + ell) / d * m - a, bound)],
             "main_window": [compare(1.0 / tau - 1.0, m / d),
@@ -144,10 +148,7 @@ def decide_reverse_embedding(m, a, p, tau, d, delta):
     m - a > (d - delta)(1/tau - 1/p)) or (tau = p and a <= m); necessity
     fails when tau < p, when m - a < (d - delta)(1/tau - 1/p), or at the
     equality case with a > m."""
-    if not (1 < p):
-        raise InvalidParams("p must lie in (1, inf)")
-    if not (0 < tau):
-        raise InvalidParams("tau must be positive")
+    check_params(m, d, delta, p, tau)
     bound = (d - delta) * (1.0 / tau - 1.0 / p)
     values = {"m": m, "a": a, "p": p, "tau": tau, "d": d, "delta": delta,
               "m_minus_a": m - a, "bound": bound}
@@ -178,6 +179,7 @@ def pde_regularity_tau(m, a, d, delta, a_bar=None):
     """Supremum tau* = ((m - a)/(d - delta) + 1/2)^{-1} of the regularity
     range.  The hypothesis |a| < min(a_bar, m) uses a caller-supplied
     domain-dependent bound a_bar; it is never fabricated here."""
+    check_params(m, d, delta)
     if a_bar is not None and not abs(a) < min(a_bar, m):
         raise InvalidParams("requires |a| < min(a_bar, m)")
     if a_bar is None and not abs(a) <= m:

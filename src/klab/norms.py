@@ -80,6 +80,8 @@ def _gauss_nodes(n):
 @lru_cache(maxsize=None)
 def _tensor_rule(d, n):
     """Tensor-product rule on the unit cube: nodes (d, n^d), weights (n^d,)."""
+    if n < 1:
+        raise InvalidParams("need at least one node per dimension")
     x, w = _gauss_nodes(n)
     grids = np.meshgrid(*([x] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids])
@@ -183,6 +185,8 @@ def _plain(p):
 def _check_order(m, p):
     if not 1 < p < np.inf:
         raise InvalidParams("p must lie in (1, inf)")
+    if m < 0:
+        raise InvalidParams("m must be nonnegative")
     if m > MAX_ORDER:
         raise Unsupported(f"derivative order capped at {MAX_ORDER}")
 
@@ -316,7 +320,8 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
     time, with the slice's phi kept on the pou (`_piece_slice`); u and the
     density share one Sample per slice.
     """
-    per_slice = max(1, SLICE_NODES // nodes_per_dim ** pou.d)
+    cube_nodes = _tensor_rule(pou.d, nodes_per_dim)[1].size
+    per_slice = max(1, SLICE_NODES // cube_nodes)
     total = 0.0
     for start in range(0, len(ks), per_slice):
         pts, w, phi = _piece_slice(pou, j, ks[start:start + per_slice], m,

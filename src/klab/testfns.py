@@ -55,10 +55,6 @@ class Sample:
         self.coords, self.domain = coords, domain
         self._shared = {}
 
-    @property
-    def order(self):
-        return self.coords[0].order
-
     def shared(self, key, build):
         """The factor stored under key, built by build() on first use."""
         if key not in self._shared:
@@ -186,16 +182,17 @@ def kondratiev_membership(u, m, a, p):
 
     Every term of the weighted norm reduces to the 1D integral
     int_0^R t^((beta-a)p + (d-ell) - 1) (1 + |log t|)^(g p) dt with log power
-    g in {lam - m, ..., lam}; the worst (largest) g governs the boundary case.
+    g in {lam - m, ..., lam}; the worst (largest), lam, governs the boundary
+    case.
     """
     if not (0 < p < np.inf):
         raise InvalidParams("p must lie in (0, inf)")
+    if m < 0:
+        raise InvalidParams("m must be nonnegative")
     if m > MAX_ORDER:
         raise Unsupported(f"derivative order capped at {MAX_ORDER}")
     d, ell = u.domain.d, u.domain.ell
-    e = (u.beta - a) * p + (d - ell)
-    worst_g = max(u.lam - j for j in range(int(m) + 1))
-    return classify_radial_exponent(e, worst_g * p)
+    return classify_radial_exponent((u.beta - a) * p + (d - ell), u.lam * p)
 
 
 def f_space_membership_radial(beta, gamma, s, p, ell, d):

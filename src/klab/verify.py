@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embeddings import compare
+from .embeddings import check_params, compare
 from .errors import EmptyFamily, InvalidParams
 from .geometry import (C0_LEVEL0, PSI_FLOOR, ModelDomain, PartitionOfUnity,
                        whitney_cover)
@@ -511,6 +511,7 @@ def _fit_growth(xs, ys, predicted):
 
 def critical_a(m, p, tau, d, delta):
     """The weight a = m - (d - delta)(1/tau - 1/p) of the critical line."""
+    check_params(m, d, delta, p, tau)
     return m - (d - delta) * (1.0 / tau - 1.0 / p)
 
 
@@ -729,7 +730,10 @@ def check_truth_table(n=200, seed=20260826):
 
 def check_partition_diagnostics(domain, j_max=8, n_points=10000,
                                 seed=20260826):
-    """Partition sums, certificate exactness, and level-count growth."""
+    """Partition sums, certificate exactness, and level-count growth.  The
+    sums are checked on every covered point and on every point with
+    |x''| >= (c1 + 2 sqrt(d - ell)) 2^-j_max, which a selected cube holds;
+    there an uncovered point counts as a sum of 0."""
     box = ((-2,) * domain.d, (2,) * domain.d)
     cover = whitney_cover(domain, box, j_max)
     pou = PartitionOfUnity(cover)
@@ -747,9 +751,11 @@ def check_partition_diagnostics(domain, j_max=8, n_points=10000,
     for j, kk, ixs in pou._neighbor_batches(pts):
         vals = pou.bump_jet(j, kk, pts.take(ixs, axis=1), order=0).value
         total[ixs] += vals / safe[ixs]
-    sums = np.where(covered, total, 1.0)
-    sum_err = float(np.max(np.abs(sums[covered] - 1.0))) if covered.any() \
-        else 0.0
+    sums = np.where(covered, total, 0.0)
+    collar = (cover.c1 + 2.0 * math.sqrt(domain.d - domain.ell)) \
+        * 2.0 ** -j_max
+    measured = covered | (domain.distance(pts) >= collar)
+    sum_err = float(np.max(np.abs(sums[measured] - 1.0), initial=0.0))
     cert_ok = True
     for j, ks in cover.levels.items():
         if not len(ks):

@@ -325,44 +325,41 @@ def synthesize(system, j, k, gender, d):
 # Sequence norm
 # ---------------------------------------------------------------------------
 
-def _fine_box(coeffs):
-    """Integer-aligned spatial bounding box of all nonzero coefficients.
-
-    Each axis's first and last hit come from `np.any` over the other axes,
-    so no index arrays of the nonzero entries are built.
-    """
-    d = coeffs.d
-    lo = np.full(d, np.inf)
-    hi = np.full(d, -np.inf)
-    for j, bands in coeffs.levels.items():
-        for origin, arr in bands.values():
-            for ax in range(d):
-                hit = np.any(arr, axis=tuple(a for a in range(d) if a != ax))
-                if not hit.any():
-                    break                        # the band is all zero
-                first = int(np.argmax(hit))
-                last = hit.size - 1 - int(np.argmax(hit[::-1]))
-                lo[ax] = min(lo[ax], (origin[ax] + first) * 2.0 ** -j)
-                hi[ax] = max(hi[ax], (origin[ax] + last + 1) * 2.0 ** -j)
-    if not np.all(np.isfinite(lo)):
-        return None
-    return np.floor(lo).astype(int), np.ceil(hi).astype(int)
-
-
-def _reach(coeffs, levels):
-    """Per level j of `levels`, the hull [lo, hi) in level-j cells of the
-    bands of every level >= j (None where those levels hold no band)."""
+def _support_hulls(coeffs, levels):
+    """Per level j of `levels` (ascending), the hull [lo, hi) in level-j
+    cells of the nonzero coefficients of level j and every finer level
+    (None where all of them are zero).  One scan, fine to coarse: a level's
+    hull is the finer levels' hull, coarsened, widened by its own bands'
+    nonzero extents, so the hulls nest.  An extent along an axis is `any`
+    of the band's nonzero mask over the other axes."""
     out, hull = [], None
     for n in range(len(levels) - 1, -1, -1):
         if hull is not None:                     # coarsen to this level
             f = 2 ** (levels[n + 1] - levels[n])
             hull = (hull[0] // f, -(-hull[1] // f))
         for origin, arr in coeffs.levels[levels[n]].values():
-            k0, k1 = np.asarray(origin), np.add(origin, arr.shape)
+            nz = arr != 0
+            hits = [nz.any(axis=tuple(a for a in range(nz.ndim) if a != ax))
+                    .nonzero()[0] for ax in range(nz.ndim)]
+            if not hits[0].size:
+                continue                         # the band is all zero
+            k0 = np.add(origin, [h[0] for h in hits])
+            k1 = np.add(origin, [h[-1] + 1 for h in hits])
             hull = (k0, k1) if hull is None else (np.minimum(hull[0], k0),
                                                  np.maximum(hull[1], k1))
         out.append(hull)
     return out[::-1]
+
+
+def _fine_box(coeffs):
+    """Integer-aligned spatial bounding box of all nonzero coefficients:
+    the coarsest `_support_hulls` entry in level-0 (unit) cells."""
+    levels = sorted(coeffs.levels)
+    hull = _support_hulls(coeffs, levels)[0]
+    if hull is None:
+        return None
+    f = 2 ** levels[0]
+    return hull[0] // f, -(-hull[1] // f)
 
 
 def _upsample(arr, f):
@@ -382,25 +379,23 @@ def f_sequence_norm(coeffs, s, tau):
 
     The square function restricted to levels <= j is constant on level-j
     cells.  It is accumulated coarse to fine, S_j = upsample(S_j-1) +
-    sum_G 4^{j(s+d/2)} lambda_{j,G}^2, on nested active boxes: the first is
-    the fine box, and each next one is the `_reach` of the finer levels,
-    widened to whole cells of the level before and clipped to the box
-    before.  A cell that leaves the active box keeps its S at every finer
-    level, so its S^{tau/2} volume goes once into a running integral of
-    finished cells; partial_j is that integral plus the sum of
-    S_j^{tau/2} 2^{-jd} over the box.
+    sum_G 4^{j(s+d/2)} lambda_{j,G}^2, on nested active boxes: level j's
+    box is the nonzero hull of the levels >= j (`_support_hulls`), widened
+    to whole cells of the level before.  A cell that leaves the active box
+    keeps its S at every finer level, so its S^{tau/2} volume goes once
+    into a running integral of finished cells; partial_j is that integral
+    plus the sum of S_j^{tau/2} 2^{-jd} over the box.
     """
     d = coeffs.d
     side = compare(s, sigma(tau, 2, d))
     if not (side > 0 or (tau >= 1.0 and side == 0)):
         raise InvalidParams("sequence norm requires s > sigma_{tau,2}")
-    box = _fine_box(coeffs)
-    if box is None:
+    levels = sorted(coeffs.levels)
+    hulls = _support_hulls(coeffs, levels)
+    if hulls[0] is None:
         return NormValue(value=0.0, truncations=[(2.0 ** -coeffs.J, 0.0)],
                          classification=FINITE, quadrature_order=0)
-    levels = sorted(coeffs.levels)
-    reach = _reach(coeffs, levels)
-    a, b = (v * 2 ** levels[0] for v in box)     # the active box [a, b)
+    a, b = hulls[0]                              # the active box [a, b)
     sq = np.zeros(b - a)
     done, partial = 0.0, []                      # integral with levels <= j
     for n, j in enumerate(levels):
@@ -417,9 +412,8 @@ def f_sequence_norm(coeffs, s, tau):
         keep, nxt = (slice(0, 0),) * d, None     # cells that stay active
         if n + 1 < len(levels):
             f = 2 ** (levels[n + 1] - j)
-            r0, r1 = reach[n + 1] or (a * f, a * f)
-            k0 = np.clip(r0 // f, a, b)
-            k1 = np.clip(-(-r1 // f), k0, b)
+            r0, r1 = hulls[n + 1] or (a * f, a * f)
+            k0, k1 = r0 // f, -(-r1 // f)
             keep = tuple(map(slice, k0 - a, k1 - a))
             nxt, a, b = _upsample(sq[keep], f), k0 * f, k1 * f
         sq **= tau / 2.0

@@ -186,6 +186,48 @@ def test_report_records_the_thread_variables_the_process_saw():
     assert json.loads(lines[-1]) is None
 
 
+NORM = ["norm", "--kind", "kondratiev", "--a", "0.5", "--p", "2", "--d", "2",
+        "--ell", "0", "--beta", "1.2", "--j-max", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    # each raised ZeroDivisionError or ValueError, a traceback with exit 1
+    ["decide-holder", "--m", "1", "--a", "0", "--p", "2", "--tau", "0",
+     "--d", "2", "--ell", "0"],
+    ["pde-tau", "--m", "1", "--a", "0", "--d", "2", "--delta", "2"],
+    ["adaptivity", "--m", "1", "--d", "0"],
+    ["verify", "divergence", "--tau", "0"],
+    NORM + ["--m", "-1"],
+    NORM + ["--m", "1", "--nodes", "0"],
+    NORM[:2] + ["rloc-localized"] + NORM[3:] + ["--m", "1", "--nodes", "0"],
+    # each printed a verdict on a tuple that `decide` rejects
+    ["decide-reverse", "--m", "1", "--a", "0", "--p", "2", "--tau", "1",
+     "--d", "2", "--delta", "5"],
+    ["decide-reverse", "--m", "0", "--a", "0", "--p", "2", "--tau", "2",
+     "--d", "2", "--delta", "0"],
+    ["decide-holder", "--m", "-5", "--a", "0", "--p", "2", "--tau", "1",
+     "--d", "2", "--ell", "0"],
+    ["decide-holder", "--m", "1", "--a", "0", "--p", "0.5", "--tau", "0.2",
+     "--d", "2", "--ell", "0"],
+    ["verify", "divergence", "--d", "2", "--delta", "2"],
+    ["verify", "divergence", "--m", "0"],
+], ids=["holder-tau-0", "pde-tau-delta-d", "adaptivity-d-0",
+        "divergence-tau-0", "norm-m-negative", "norm-nodes-0",
+        "localized-nodes-0",
+        "reverse-delta-5", "reverse-m-0", "holder-m-negative",
+        "holder-p-below-1", "divergence-delta-d", "divergence-m-0"])
+def test_out_of_range_input_is_invalid(capsys, argv):
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_norm_out_writes_json_and_no_csv(capsys, tmp_path):
+    code, _ = run(capsys, *NORM, "--m", "1", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "norm-kondratiev.json"]
+
+
 def test_norm_rloc_localized(capsys):
     code, out = run(capsys, "norm", "--kind", "rloc-localized", "--m", "1",
                     "--a", "0.5", "--p", "2", "--d", "2", "--ell", "0",

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klab.embeddings import (BOUNDARY_TOL, FAILS, HOLDS, UNDETERMINED,
-                             adaptivity_scale, compare, decide_embedding,
-                             decide_embedding_holder_route,
+                             adaptivity_scale, check_params, compare,
+                             decide_embedding, decide_embedding_holder_route,
                              decide_reverse_embedding, pde_regularity_tau,
                              sigma, technical_threshold_a)
 from klab.errors import InvalidParams
@@ -80,6 +80,41 @@ def test_holder_route_window_failure_is_undetermined():
     # printed inapplicable case: window 0.5 < 1/4 is false
     v, route = decide_embedding_holder_route(1, 0.5, 4.0, 1.5, 2, 0)
     assert v.outcome == UNDETERMINED
+
+
+def test_holder_route_improved_branch_and_exponents():
+    # the main gap 4/3 - 0.2 < 2(1 - 1/1.9) fails; the improved gap and
+    # window 0 < 1/2 < 1/1.9 hold
+    m, a, p, tau, d, ell = 1, 0.2, 1.9, 1.0, 3, 1
+    v, route = decide_embedding_holder_route(m, a, p, tau, d, ell)
+    assert v.outcome == HOLDS and v.trigger.startswith("improved route")
+    assert route.eta == pytest.approx(1 / (m / d + 1 / tau - 1 / p),
+                                      rel=1e-15)
+    assert route.r == pytest.approx(1 / (1 / tau - 1 / p), rel=1e-15)
+
+
+@pytest.mark.parametrize("decide", [decide_embedding,
+                                    decide_reverse_embedding,
+                                    decide_embedding_holder_route])
+@pytest.mark.parametrize("m,p,tau,d,delta", [
+    (1.5, 2.0, 1.0, 2, 0),             # m not an integer
+    (0, 2.0, 1.0, 2, 0),               # m < 1
+    (1, 1.0, 0.5, 2, 0),               # p <= 1
+    (1, 2.0, 0.0, 2, 0),               # tau <= 0
+    (1, 2.0, 1.0, 2, 2),               # delta = d
+    (1, 2.0, 1.0, 2, -1),              # delta < 0
+])
+def test_decisions_reject_the_same_tuples(decide, m, p, tau, d, delta):
+    with pytest.raises(InvalidParams):
+        decide(m, 0.0, p, tau, d, delta)
+
+
+def test_check_params_messages():
+    with pytest.raises(InvalidParams, match="m must be a positive integer"):
+        check_params(1.5, 2)
+    with pytest.raises(InvalidParams, match="0 <= ell < d, got ell = 3"):
+        check_params(1, 3, 3, name="ell")
+    check_params(2.0, 2, 1, p=float("inf"), tau=0.1)
 
 
 def test_holder_route_rejects_tau_ge_p():
@@ -191,6 +226,26 @@ def test_pde_tau_formula():
     # tau* = ((m - a)/(d - delta) + 1/2)^-1
     assert pde_regularity_tau(2, 0.5, 2, 0) == pytest.approx(
         1.0 / (1.5 / 2 + 0.5))
+
+
+def test_pde_tau_checks_a_against_a_bar_and_m():
+    # with a_bar: |a| < min(a_bar, m), strictly
+    assert pde_regularity_tau(1, 0.5, 2, 0, a_bar=0.6) == pytest.approx(
+        1.0 / (0.25 + 0.5))
+    with pytest.raises(InvalidParams, match="a_bar"):
+        pde_regularity_tau(1, 0.5, 2, 0, a_bar=0.5)
+    # without: |a| <= m
+    assert pde_regularity_tau(1, -1.0, 2, 0) == pytest.approx(1.0 / 1.5)
+    with pytest.raises(InvalidParams, match=r"\|a\| <= m"):
+        pde_regularity_tau(1, 1.5, 2, 0)
+
+
+def test_reverse_equality_case_is_undetermined():
+    # tau - p = 5e-12 decides tau > p, and m - a = 0 equals the bound
+    # -3.1e-13 within BOUNDARY_TOL; a = m leaves the paper silent
+    v = decide_reverse_embedding(1, 1, 4.0, 4.0 + 5e-12, 2, 1)
+    assert v.outcome == UNDETERMINED
+    assert v.condition_values["boundaryCase"] is True
 
 
 def test_adaptivity_scale():

@@ -1,6 +1,7 @@
 """Graded quadrature norms against independent 1D radial references."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +212,42 @@ def test_rloc_weighted_vs_localized(dom):
     w, = cover_norms([rloc_weighted_terms(u, params)], cov)
     loc = rloc_norm_localized(u, params, pou)
     assert 1 / 50 < loc.value / w.value < 50
+
+
+def test_norm_terms_reject_negative_order_and_empty_rules(dom):
+    u = make_test_function(1.0, 0.0, 1.0, dom)
+    params = SpaceParams(m=-1, a=0.5, p=2.0, d=2, ell=0)
+    for build in (lambda: kondratiev_terms(u, params),
+                  lambda: sobolev_terms(u, -1, 2.0),
+                  lambda: sharp_terms(u, params)):
+        with pytest.raises(InvalidParams, match="m must be nonnegative"):
+            build()
+    with pytest.raises(InvalidParams, match="one node per dimension"):
+        norms.level_nodes(whitney_cover(dom, ((-2, -2), (2, 2)), 4), 2, 0)
+
+
+def test_tail_share_of_a_zero_ladder_is_zero():
+    assert norms.tail_share([0.0, 0.0, 0.0, 0.0, 0.0]) == 0.0
+    assert norms.tail_share([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("tail, classification", [
+    (0.045, norms.INCONCLUSIVE), (0.01, FINITE)])
+def test_rloc_localized_flips_a_heavy_tail_to_inconclusive(monkeypatch, tail,
+                                                           classification):
+    # at tau = 100 the rooted ladder passes the Cauchy test although the
+    # last three levels carry 3 tail / (1 + 3 tail) of the integral: 11.9 %
+    # at tail = 0.045, above TAIL_SHARE_LIMIT; 2.9 % at 0.01, below it
+    per_level = {j: 1.0 if j == 0 else (tail if j > 6 else 1e-9)
+                 for j in range(10)}
+    monkeypatch.setattr(norms, "_piece_power_sum",
+                        lambda u, pou, j, *rest: per_level[j])
+    pou = SimpleNamespace(cover=SimpleNamespace(levels=per_level))
+    params = SpaceParams(m=1, a=0.0, p=100.0, d=2, ell=0)
+    assert norms.classify_truncations(
+        rloc_norm_localized(None, params, pou).truncations) == FINITE
+    assert rloc_norm_localized(None, params, pou).classification \
+        == classification
 
 
 def test_rloc_localized_rejects_small_tau(dom):

@@ -126,6 +126,12 @@ def test_membership_uses_worst_log_power(dom):
     assert not v.member  # -0.3 * 2 = -0.6 >= -1
 
 
+def test_membership_rejects_negative_order(dom):
+    u = make_test_function(1.0, 0.0, 1.0, dom)
+    with pytest.raises(InvalidParams, match="m must be nonnegative"):
+        kondratiev_membership(u, -1, 0.0, 2.0)
+
+
 @given(beta=st.floats(0.1, 3.0), a=st.floats(-1.0, 3.0),
        p=st.floats(1.1, 4.0))
 @settings(max_examples=80, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from klab import norms, testfns, wavelets
+from klab import norms, testfns, verify, wavelets
 from klab.errors import EmptyFamily, InvalidParams
 from klab.geometry import ModelDomain, PartitionOfUnity
 from klab.norms import SpaceParams
@@ -379,6 +379,22 @@ def test_partition_diagnostics_point():
     out = check_partition_diagnostics(ModelDomain(2, 0), j_max=7,
                                       n_points=3000)
     assert out["passed"]
+
+
+def test_partition_diagnostics_fail_when_points_are_uncovered(monkeypatch):
+    # every point uncovered: each point off the collar of the singular set
+    # lies in a selected cube and counts as a partition sum of 0
+    monkeypatch.setattr(verify, "PSI_FLOOR", float("inf"))
+    out = check_partition_diagnostics(ModelDomain(2, 0), j_max=7,
+                                      n_points=300)
+    assert out["coveredFraction"] == 0.0
+    assert out["partitionSumError"] == 1.0 and not out["passed"]
+
+
+def test_spread_is_inf_unless_all_ratios_are_finite_and_positive():
+    assert verify._spread([2.0, 0.5]) == 4.0
+    for ratios in ([], [1.0, 0.0], [1.0, float("inf")], [1.0, -2.0]):
+        assert verify._spread(ratios) == float("inf")
 
 
 def test_classification_grid_small():

@@ -8,10 +8,11 @@ import pytest
 
 from klab import wavelets
 from klab.errors import InvalidParams, Unsupported
-from klab.wavelets import (CASCADE_K, REGULARITY, build_wavelet_system,
-                           daubechies_filter, estimate_holder_regularity,
-                           f_sequence_norm, filter_orthonormality_defect,
-                           synthesize, wavelet_coefficients)
+from klab.wavelets import (CASCADE_K, REGULARITY, CoefficientGrid,
+                           build_wavelet_system, daubechies_filter,
+                           estimate_holder_regularity, f_sequence_norm,
+                           filter_orthonormality_defect, synthesize,
+                           wavelet_coefficients)
 
 
 def test_shortest_filter_known_values():
@@ -85,6 +86,14 @@ def test_zero_function_zero_grid(sys1):
     assert grid.sum_of_squares() == 0.0
 
 
+def test_sequence_norm_of_zero_grid_is_zero(sys1):
+    grid = wavelet_coefficients(lambda x: np.zeros(x.shape[1]), sys1, 4,
+                                ((-1.0,), (1.0,)))
+    nv = f_sequence_norm(grid, s=1.0, tau=0.8)
+    assert (nv.value, nv.truncations, nv.classification) == (
+        0.0, [(2.0 ** -4, 0.0)], "Finite")
+
+
 def _fine_box_by_nonzero(coeffs):
     """Support box from the index arrays of every band's nonzero entries."""
     lo = np.full(coeffs.d, np.inf)
@@ -100,6 +109,41 @@ def _fine_box_by_nonzero(coeffs):
     if not np.all(np.isfinite(lo)):
         return None
     return np.floor(lo).astype(int), np.ceil(hi).astype(int)
+
+
+def _hulls_by_nonzero(coeffs):
+    """Per level j, the hull in level-j cells of the nonzero entries of the
+    levels >= j, from the index arrays of every band's nonzero entries."""
+    levels = sorted(coeffs.levels)
+    out = []
+    for j in levels:
+        lo, hi = [], []
+        for i in levels[levels.index(j):]:
+            f = 2 ** (i - j)
+            for origin, arr in coeffs.levels[i].values():
+                k = np.array(np.nonzero(arr)).T + np.asarray(origin)
+                lo += list(k // f)
+                hi += list(-(-(k + 1) // f))
+        out.append((np.min(lo, axis=0), np.max(hi, axis=0)) if lo else None)
+    return out
+
+
+def _check_hulls(coeffs):
+    """`_fine_box` and every level's `_support_hulls` entry against the
+    index arrays of the nonzero entries."""
+    expected = _fine_box_by_nonzero(coeffs)
+    box = wavelets._fine_box(coeffs)
+    hulls = wavelets._support_hulls(coeffs, sorted(coeffs.levels))
+    if expected is None:
+        assert box is None and hulls == [None] * len(hulls)
+        return
+    assert np.array_equal(box[0], expected[0])
+    assert np.array_equal(box[1], expected[1])
+    for hull, want in zip(hulls, _hulls_by_nonzero(coeffs), strict=True):
+        assert (hull is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(hull[0], want[0])
+            assert np.array_equal(hull[1], want[1])
 
 
 def _clipped_bump(center, radius):
@@ -118,24 +162,36 @@ def test_fine_box_matches_nonzero_search(sys1, center, radius, J):
     d = len(center)
     grid = wavelet_coefficients(_clipped_bump(center, radius), sys1, J,
                                 ((-2.0,) * d, (2.0,) * d))
-    expected = _fine_box_by_nonzero(grid)
-    box = wavelets._fine_box(grid)
-    assert np.array_equal(box[0], expected[0])
-    assert np.array_equal(box[1], expected[1])
+    _check_hulls(grid)
     # zero the finest level's bands and every other coarse band
     for j, bands in grid.levels.items():
         for n, gender in enumerate(sorted(bands)):
             origin, arr = bands[gender]
             if j == J - 1 or n % 2:
                 bands[gender] = (origin, np.zeros_like(arr))
-    expected = _fine_box_by_nonzero(grid)
-    box = wavelets._fine_box(grid)
-    assert np.array_equal(box[0], expected[0])
-    assert np.array_equal(box[1], expected[1])
+    _check_hulls(grid)
+    assert wavelets._support_hulls(grid, sorted(grid.levels))[-1] is None
     for bands in grid.levels.values():
         for gender, (origin, arr) in bands.items():
             bands[gender] = (origin, np.zeros_like(arr))
-    assert wavelets._fine_box(grid) is None
+    _check_hulls(grid)
+
+
+def test_support_hulls_of_lone_fine_coefficients():
+    # a lone finest-level coefficient at an odd cell sets every coarser
+    # hull: its upper edge rounds up, its lower edge down (also below 0)
+    grid = CoefficientGrid(d=2, J=3)
+    for j in range(3):
+        genders = ["AD", "DA", "DD"] + (["AA"] if j == 0 else [])
+        grid.levels[j] = {g: ((-6, -6), np.zeros((12, 12))) for g in genders}
+    grid.levels[2]["DA"][1][6 + 1, 6 + 4] = 1.0       # level-2 cell (1, 4)
+    _check_hulls(grid)
+    hulls = wavelets._support_hulls(grid, [0, 1, 2])
+    assert [(list(lo), list(hi)) for lo, hi in hulls] == [
+        ([0, 1], [1, 2]), ([0, 2], [1, 3]), ([1, 4], [2, 5])]
+    grid.levels[1]["AD"][1][6 - 3, 6 + 0] = 2.0       # level-1 cell (-3, 0)
+    _check_hulls(grid)
+    assert list(wavelets._support_hulls(grid, [0, 1, 2])[0][0]) == [-2, 0]
 
 
 def test_impulse_reconstruction(sys1):
@@ -268,6 +324,11 @@ def test_sequence_norm_on_active_boxes_matches_fine_grid(case, s, tau):
     nv = f_sequence_norm(grid, s=s, tau=tau)
     assert [v for _, v in nv.truncations] == pytest.approx(
         fine_grid_partial_norms(grid, s, tau), rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(ACTIVE_BOX_GRIDS))
+def test_support_hulls_on_active_box_grids(case):
+    _check_hulls(ACTIVE_BOX_GRIDS[case]())
 
 
 def test_sequence_norm_guards_sigma(sys1):
