@@ -15,7 +15,7 @@ from .norms import (SpaceParams, NormValue, cover_norms, kondratiev_terms,
 from .wavelets import (WaveletSystem, CoefficientGrid, daubechies_filter,
                        build_wavelet_system, wavelet_coefficients,
                        f_sequence_norm, synthesize)
-from .embeddings import (Verdict, HolderRoute, decide_embedding,
+from .embeddings import (Verdict, decide_embedding,
                          decide_embedding_holder_route,
                          decide_reverse_embedding, pde_regularity_tau,
                          adaptivity_scale, technical_threshold_a, sigma,

@@ -83,23 +83,26 @@ def _emit(args, name, config, report):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# decision command -> (embeddings function, the sixth argument, help)
+DECISIONS = {
+    "decide": ("decide_embedding", "delta", "embedding K^m_{a,p} -> F-rloc"),
+    "decide-reverse": ("decide_reverse_embedding", "delta",
+                       "reverse embedding"),
+    "decide-holder": ("decide_embedding_holder_route", "ell",
+                      "Hoelder-route sufficiency"),
+}
+
+
 def _cmd_decide(args):
     """decide, decide-reverse, decide-holder: print the verdict and its
     JSON; exit 0 for Holds, 1 for Fails, 3 for UndeterminedByPaper."""
     from . import embeddings as emb
-    extra = {}
-    if args.command == "decide-holder":
-        v, route = emb.decide_embedding_holder_route(
-            args.m, args.a, args.p, args.tau, args.d, args.ell)
-        extra["route"] = {"applies": route.applies, "eta": route.eta,
-                          "r": route.r}
-    else:
-        decide = emb.decide_embedding if args.command == "decide" \
-            else emb.decide_reverse_embedding
-        v = decide(args.m, args.a, args.p, args.tau, args.d, args.delta)
+    fn, last, _ = DECISIONS[args.command]
+    v = getattr(emb, fn)(args.m, args.a, args.p, args.tau, args.d,
+                         getattr(args, last))
     print(v.outcome)
     print(json.dumps({"schema": SCHEMA, "params": _run_config(args),
-                      "verdict": v.to_json(), **extra}, indent=2))
+                      "verdict": v.to_json()}, indent=2))
     return {emb.HOLDS: EXIT_OK, emb.FAILS: EXIT_FAILED,
             emb.UNDETERMINED: EXIT_UNDETERMINED}[v.outcome]
 
@@ -163,8 +166,7 @@ DIVERGENCE_FLAGS = ("m", "a", "p", "tau", "d", "delta", "lam")
 def _cmd_verify(args):
     """Run a registry entry.  The flags given override the divergence
     entry's own defaults; no other entry takes them."""
-    import inspect
-    from .verify import EXPERIMENTS, critical_a
+    from .verify import EXPERIMENTS
     name = "divergence" if args.name == "counterexample" else args.name
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; known: "
@@ -172,19 +174,14 @@ def _cmd_verify(args):
         return EXIT_INVALID
     given = {k: getattr(args, k) for k in DIVERGENCE_FLAGS
              if getattr(args, k) is not None}
-    if name == "divergence":
-        bound = inspect.signature(EXPERIMENTS[name]).bind(**given)
-        bound.apply_defaults()
-        kw = bound.arguments
-        if kw["a"] is None:
-            kw["a"] = critical_a(kw["m"], kw["p"], kw["tau"], kw["d"],
-                                 kw["delta"])
-        vars(args).update(kw)   # the report records all seven
-    elif given:
+    if given and name != "divergence":
         print(f"only divergence takes --m, --a, --p, --tau, --d, --delta "
               f"and --lambda, not {name}", file=sys.stderr)
         return EXIT_INVALID
-    return _emit(args, name, _run_config(args), EXPERIMENTS[name](**given))
+    report = EXPERIMENTS[name](**given)
+    if name == "divergence":
+        vars(args).update(report.params)   # the report records all seven
+    return _emit(args, name, _run_config(args), report)
 
 
 def _cmd_report(args):
@@ -240,20 +237,11 @@ def build_parser():
         description="Kondratiev / refined-localization space laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("decide", help="embedding K^m_{a,p} -> F-rloc")
-    _add_space_args(sp)
-    sp.add_argument("--delta", type=int, required=True)
-    sp.set_defaults(func=_cmd_decide)
-
-    sp = sub.add_parser("decide-reverse", help="reverse embedding")
-    _add_space_args(sp)
-    sp.add_argument("--delta", type=int, required=True)
-    sp.set_defaults(func=_cmd_decide)
-
-    sp = sub.add_parser("decide-holder", help="Hoelder-route sufficiency")
-    _add_space_args(sp)
-    sp.add_argument("--ell", type=int, required=True)
-    sp.set_defaults(func=_cmd_decide)
+    for name, (_, last, help_) in DECISIONS.items():
+        sp = sub.add_parser(name, help=help_)
+        _add_space_args(sp)
+        sp.add_argument(f"--{last}", type=int, required=True)
+        sp.set_defaults(func=_cmd_decide)
 
     sp = sub.add_parser("pde-tau", help="critical tau for PDE regularity")
     sp.add_argument("--m", type=int, required=True)

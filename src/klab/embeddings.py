@@ -44,13 +44,6 @@ def _verdict(outcome, trigger, values, boundary_case):
     return Verdict(outcome, trigger, {**values, "boundaryCase": boundary_case})
 
 
-@dataclass(frozen=True)
-class HolderRoute:
-    applies: bool
-    eta: float          # 1/eta = m/d + 1/tau - 1/p
-    r: float            # 1/r = 1/tau - 1/p
-
-
 def sigma(tau, q, d):
     """sigma_{tau,q} = d (1/min(1, tau, q) - 1)."""
     if tau <= 0 or q <= 0:
@@ -114,14 +107,15 @@ def decide_embedding_holder_route(m, a, p, tau, d, ell):
 
     Main route: (d + ell)/d * m - a < (d - ell)(1/tau - 1/p) and
     1/tau - 1 < m/d < 1/p.  Improved route: m - a < (d - ell)(1/tau - 1/p)
-    and 1/tau - 1 < m/(d - ell) < 1/p.  Returns (Verdict, HolderRoute).
+    and 1/tau - 1 < m/(d - ell) < 1/p.  The condition values record the
+    route's exponents eta (1/eta = m/d + 1/tau - 1/p) and r
+    (1/r = 1/tau - 1/p).
     """
     check_params(m, d, ell, p, tau, name="ell")
     if not tau < p:
         raise InvalidParams("the Holder route requires tau < p")
     inv_eta = m / d + 1.0 / tau - 1.0 / p
     inv_r = 1.0 / tau - 1.0 / p          # both > 0 once m >= 1, 0 < tau < p
-    route = HolderRoute(applies=True, eta=1.0 / inv_eta, r=1.0 / inv_r)
     bound = (d - ell) * inv_r
     cmps = {"main_gap": [compare((d + ell) / d * m - a, bound)],
             "main_window": [compare(1.0 / tau - 1.0, m / d),
@@ -131,16 +125,16 @@ def decide_embedding_holder_route(m, a, p, tau, d, ell):
                                 compare(m / (d - ell), 1.0 / p)]}
     # every condition is a chain of strict inequalities
     met = {k: all(c < 0 for c in cs) for k, cs in cmps.items()}
-    values = {"bound": bound, "eta": route.eta, "r": route.r, **met,
-              "boundaryCase": any(0 in cs for cs in cmps.values())}
+    values = {"bound": bound, "eta": 1.0 / inv_eta, "r": 1.0 / inv_r, **met}
+    boundary = any(0 in cs for cs in cmps.values())
     if met["main_gap"] and met["main_window"]:
-        return Verdict(HOLDS, "main route: gap and window conditions",
-                       values), route
+        return _verdict(HOLDS, "main route: gap and window conditions",
+                        values, boundary)
     if met["improved_gap"] and met["improved_window"]:
-        return Verdict(HOLDS, "improved route: gap and window conditions",
-                       values), route
-    return Verdict(UNDETERMINED,
-                   "sufficient conditions of both routes fail", values), route
+        return _verdict(HOLDS, "improved route: gap and window conditions",
+                        values, boundary)
+    return _verdict(UNDETERMINED, "sufficient conditions of both routes fail",
+                    values, boundary)
 
 
 def decide_reverse_embedding(m, a, p, tau, d, delta):

@@ -20,6 +20,7 @@ every operation reduces to the elementwise numpy expression on the values.
 """
 
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -29,20 +30,8 @@ import numpy as np
 def multi_indices(dim, order):
     """All multi-indices of length `dim` with total degree <= `order`,
     sorted by (degree, lexicographic)."""
-    idx = []
-    for deg in range(order + 1):
-        block = []
-
-        def rec(prefix, left, slots):
-            if slots == 1:
-                block.append(tuple(prefix + [left]))
-                return
-            for k in range(left + 1):
-                rec(prefix + [k], left - k, slots - 1)
-
-        rec([], deg, dim)
-        idx.extend(sorted(block))
-    return tuple(idx)
+    return tuple(sorted((a for a in product(range(order + 1), repeat=dim)
+                         if sum(a) <= order), key=lambda a: (sum(a), a)))
 
 
 @lru_cache(maxsize=None)

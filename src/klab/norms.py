@@ -58,6 +58,7 @@ class NormValue:
     truncations: list = field(default_factory=list)  # (eps, partial norm)
     classification: str = INCONCLUSIVE
     quadrature_order: int = DEFAULT_NODES
+    tail_share: float = None    # f_sequence_norm: the share it classified by
 
     def to_json(self):
         return {"value": self.value,

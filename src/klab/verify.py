@@ -21,7 +21,7 @@ from . import norms
 from .norms import (SpaceParams, cover_norms, kondratiev_piece_power,
                     kondratiev_terms, multiply_by_rho_power,
                     radial_reference_integral, rloc_weighted_terms,
-                    sharp_terms, sobolev_terms, tail_share, weighted_lp_terms,
+                    sharp_terms, sobolev_terms, weighted_lp_terms,
                     FINITE)
 from .testfns import (Sample, classify_radial_exponent,
                       f_space_membership_radial, kondratiev_membership,
@@ -87,6 +87,7 @@ class DivergenceReport:
     kondratiev_cauchy: bool
     passed: bool
     notes: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)     # the resolved arguments
 
     def to_json(self):
         return {"ladder": [[e, v] for e, v in self.ladder],
@@ -481,9 +482,7 @@ def check_embedding_ratio(params, family, cover, J=10,
         notes["waveletOrder"] = system.order
         pairs = [(seq.value + low, den)
                  for seq, (low, den) in zip(seqs, pairs)]
-        notes["tailShares"] = [tail_share([v ** tau
-                                           for _, v in seq.truncations])
-                               for seq in seqs]
+        notes["tailShares"] = [seq.tail_share for seq in seqs]
     report = _ratio_report(kept, excluded, f"rloc_weighted(tau={tau})",
                            f"kondratiev(p={p})", pairs,
                            SPREAD_CROSS_INTEGRABILITY, notes)
@@ -529,6 +528,8 @@ def check_counterexample_divergence(m=1, a=None, p=2.0, tau=1.0, d=2,
     line_a = critical_a(m, p, tau, d, delta)
     if a is None:
         a = line_a
+    params = {"m": m, "a": a, "p": p, "tau": tau, "d": d, "delta": delta,
+              "lam": lam}
     beta = m - (d - delta) / tau
     # -1 by the choice of beta; recomputed from beta, e rounds off the
     # critical line for large tau
@@ -545,7 +546,7 @@ def check_counterexample_divergence(m=1, a=None, p=2.0, tau=1.0, d=2,
         return DivergenceReport(ladder=ladder, fitted_exponent=0.0,
                                 predicted_exponent=0.0, residual=0.0,
                                 kondratiev_cauchy=True, passed=False,
-                                notes=notes)
+                                notes=notes, params=params)
     predicted = 1.0 + g
     fitted, residual = _fit_growth(1.0 + np.log(1.0 / eps), vals, predicted)
 
@@ -579,7 +580,7 @@ def check_counterexample_divergence(m=1, a=None, p=2.0, tau=1.0, d=2,
     return DivergenceReport(ladder=ladder, fitted_exponent=fitted,
                             predicted_exponent=predicted, residual=residual,
                             kondratiev_cauchy=cauchy, passed=passed,
-                            notes=notes)
+                            notes=notes, params=params)
 
 
 def check_derivative_mapping(family, m, alpha, p, domain, cover,

@@ -102,29 +102,26 @@ def _cascade(h, K=CASCADE_K):
     level_vals[1:F - 1] = vec
     for lev in range(1, K + 1):
         prev = level_vals
-        step = (F - 1) * 2 ** lev + 1
-        cur = np.zeros(step)
+        cur = np.zeros((F - 1) * 2 ** lev + 1)
         cur[::2] = prev
-        # odd points: phi(x) = sqrt(2) sum h_m phi(2x - m)
-        xs = (np.arange(1, step, 2)) / 2.0 ** lev
-        acc = np.zeros(len(xs))
+        # odd points x = i 2^-lev: phi(x) = sqrt(2) sum h_m phi(2x - m),
+        # and 2x - m is point i - m 2^(lev-1) of the previous grid
+        i = np.arange(1, len(cur), 2)
+        acc = np.zeros(len(i))
         for m in range(F):
-            t = 2.0 * xs - m                     # arguments on the prev grid
-            idx = t * 2.0 ** (lev - 1)
-            ii = np.rint(idx).astype(int)
-            ok = (np.abs(idx - ii) < 1e-9) & (ii >= 0) & (ii < len(prev))
+            ii = i - m * 2 ** (lev - 1)
+            ok = (ii >= 0) & (ii < len(prev))
             acc[ok] += np.sqrt(2.0) * h[m] * prev[ii[ok]]
         cur[1::2] = acc
         level_vals = cur
     phi_tab = level_vals
-    # psi(x) = sqrt(2) sum g_m phi(2x - m), g_m = (-1)^m h_{F-1-m}
+    # psi(x) = sqrt(2) sum g_m phi(2x - m), g_m = (-1)^m h_{F-1-m}; for
+    # x = i 2^-K, 2x - m is point 2i - m 2^K of the same grid
     g = np.array([(-1) ** m * h[F - 1 - m] for m in range(F)])
-    xs = np.arange(len(phi_tab)) / 2.0 ** K
+    i = np.arange(len(phi_tab))
     psi_tab = np.zeros_like(phi_tab)
     for m in range(F):
-        t = 2.0 * xs - m
-        idx = t * 2.0 ** K
-        ii = np.rint(idx).astype(int)
+        ii = 2 * i - m * 2 ** K
         ok = (ii >= 0) & (ii < len(phi_tab))
         psi_tab[ok] += np.sqrt(2.0) * g[m] * phi_tab[ii[ok]]
     return phi_tab, psi_tab, g
@@ -203,11 +200,6 @@ class CoefficientGrid:
         return sum(float(np.sum(arr ** 2))
                    for bands in self.levels.values()
                    for _, arr in bands.values())
-
-    def max_abs_per_level(self):
-        return {j: max((float(np.max(np.abs(arr))) if arr.size else 0.0)
-                       for _, arr in bands.values())
-                for j, bands in self.levels.items()}
 
 
 def _analyze_axis(arr, origin, bank, axis):
@@ -375,7 +367,8 @@ def f_sequence_norm(coeffs, s, tau):
 
     Returns a NormValue whose truncations list the partial norms including
     levels <= j; classification flips to Inconclusive when the last three
-    levels carry more than 10% of the integral (`norms.tail_share`).
+    levels carry more than 10% of the integral (`norms.tail_share`, kept as
+    the value's `tail_share`).
 
     The square function restricted to levels <= j is constant on level-j
     cells.  It is accumulated coarse to fine, S_j = upsample(S_j-1) +
@@ -394,7 +387,8 @@ def f_sequence_norm(coeffs, s, tau):
     hulls = _support_hulls(coeffs, levels)
     if hulls[0] is None:
         return NormValue(value=0.0, truncations=[(2.0 ** -coeffs.J, 0.0)],
-                         classification=FINITE, quadrature_order=0)
+                         classification=FINITE, quadrature_order=0,
+                         tail_share=0.0)
     a, b = hulls[0]                              # the active box [a, b)
     sq = np.zeros(b - a)
     done, partial = 0.0, []                      # integral with levels <= j
@@ -426,4 +420,4 @@ def f_sequence_norm(coeffs, s, tau):
     share = tail_share(partial)
     return NormValue(value=truncs[-1][1], truncations=truncs,
                      classification=INCONCLUSIVE if share > TAIL_SHARE_LIMIT
-                     else FINITE, quadrature_order=0)
+                     else FINITE, quadrature_order=0, tail_share=share)

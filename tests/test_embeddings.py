@@ -70,15 +70,14 @@ def test_tau_above_p_always_fails(m, a, p, d, delta):
 
 def test_holder_route_holds_inside_the_window():
     # m/d = 1/3 sits in (1/tau - 1, 1/p) and the weight gap closes
-    v, route = decide_embedding_holder_route(1, 0.5, 2.5, 1.0, 3, 0)
+    v = decide_embedding_holder_route(1, 0.5, 2.5, 1.0, 3, 0)
     assert v.outcome == HOLDS
-    assert route.applies
-    assert route.r > 0
+    assert v.condition_values["r"] > 0
 
 
 def test_holder_route_window_failure_is_undetermined():
     # printed inapplicable case: window 0.5 < 1/4 is false
-    v, route = decide_embedding_holder_route(1, 0.5, 4.0, 1.5, 2, 0)
+    v = decide_embedding_holder_route(1, 0.5, 4.0, 1.5, 2, 0)
     assert v.outcome == UNDETERMINED
 
 
@@ -86,11 +85,12 @@ def test_holder_route_improved_branch_and_exponents():
     # the main gap 4/3 - 0.2 < 2(1 - 1/1.9) fails; the improved gap and
     # window 0 < 1/2 < 1/1.9 hold
     m, a, p, tau, d, ell = 1, 0.2, 1.9, 1.0, 3, 1
-    v, route = decide_embedding_holder_route(m, a, p, tau, d, ell)
+    v = decide_embedding_holder_route(m, a, p, tau, d, ell)
     assert v.outcome == HOLDS and v.trigger.startswith("improved route")
-    assert route.eta == pytest.approx(1 / (m / d + 1 / tau - 1 / p),
-                                      rel=1e-15)
-    assert route.r == pytest.approx(1 / (1 / tau - 1 / p), rel=1e-15)
+    values = v.condition_values
+    assert values["eta"] == pytest.approx(1 / (m / d + 1 / tau - 1 / p),
+                                          rel=1e-15)
+    assert values["r"] == pytest.approx(1 / (1 / tau - 1 / p), rel=1e-15)
 
 
 @pytest.mark.parametrize("decide", [decide_embedding,
@@ -160,7 +160,7 @@ def test_on_line_tuples_take_the_equality_rule(decide, args, trigger):
 def test_off_line_verdicts_are_no_boundary_case():
     assert decide_embedding(1, 0.5, 2.0, 1.0, 2,
                             0).condition_values["boundaryCase"] is False
-    v, _ = decide_embedding_holder_route(1, 0.5, 2.5, 1.0, 3, 0)
+    v = decide_embedding_holder_route(1, 0.5, 2.5, 1.0, 3, 0)
     assert v.condition_values["boundaryCase"] is False
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klab.errors import InvalidParams, OutsideCover
+from klab import geometry
+from klab.errors import CoverageGap, InvalidParams, OutsideCover
 from klab.geometry import (C1, C2_FACTOR, ModelDomain, PartitionOfUnity,
                            PSI_FLOOR, regularized_distance, whitney_cover)
 from klab.jets import multi_indices
@@ -44,6 +45,14 @@ def test_certificates(cover2d):
         if j >= 1:
             assert np.all(dist >= C1 * h)
             assert np.all(dist <= C2_FACTOR * math.sqrt(2) * h)
+
+
+def test_upper_certificate_is_enforced_below_level_0(monkeypatch):
+    # the box holds no level-0 cube, and level 1 has distances up to
+    # 3.54 * 2^-1: an upper certificate shrunk to c2 = sqrt(2) must raise
+    monkeypatch.setattr(geometry, "C2_FACTOR", 1.0)
+    with pytest.raises(CoverageGap, match="upper Whitney certificate"):
+        whitney_cover(ModelDomain(2, 0), ((-2, -2), (2, 2)), 4)
 
 
 @pytest.mark.parametrize("d,ell", [(2, 0), (2, 1), (3, 1)])

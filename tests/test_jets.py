@@ -33,6 +33,8 @@ def test_multi_indices_counts():
     assert len(multi_indices(3, 3)) == math.comb(6, 3)
     assert set(multi_indices(2, 1)) == {(0, 0), (1, 0), (0, 1)}
     assert list(multi_indices(2, 1))[0] == (0, 0)
+    assert multi_indices(2, 2) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
+                                   (2, 0))
 
 
 def test_polynomial_derivatives_exact():

@@ -1,9 +1,12 @@
 """Experiment harness: light configurations of every check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from klab import norms, testfns, verify, wavelets
+from klab.embeddings import FAILS, HOLDS
 from klab.errors import EmptyFamily, InvalidParams
 from klab.geometry import ModelDomain, PartitionOfUnity
 from klab.norms import SpaceParams
@@ -38,6 +41,31 @@ def fam(dom):
 def test_truth_table_no_mismatches():
     out = check_truth_table(n=60, seed=1)
     assert out["passed"] and out["tuples"] == 60
+
+
+def test_truth_table_literal_at_tau_equal_p(monkeypatch):
+    # no seeded draw lands on tau = p; a generator whose tau draw (the
+    # uniform on [0.5, 4)) repeats the p drawn just before it reaches the
+    # literal's tau = p branch on both of its sides
+    default_rng = np.random.default_rng
+
+    class TiedRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def uniform(self, lo, hi):
+            if lo != 0.5:
+                self.last = self.rng.uniform(lo, hi)
+            return self.last
+
+    monkeypatch.setattr(np.random, "default_rng", TiedRng)
+    out = check_truth_table(n=20, seed=1)
+    assert all(r["tau"] == r["p"] for r in out["rows"])
+    assert {r["literal"] for r in out["rows"]} == {HOLDS, FAILS}
+    assert out["passed"]
 
 
 def test_norm_equivalence(fam, dom, cover):
@@ -389,6 +417,18 @@ def test_partition_diagnostics_fail_when_points_are_uncovered(monkeypatch):
                                       n_points=300)
     assert out["coveredFraction"] == 0.0
     assert out["partitionSumError"] == 1.0 and not out["passed"]
+
+
+def test_partition_certificates_check_the_upper_bound(monkeypatch):
+    # the box holds no level-0 cube, and each level j >= 1 has distances
+    # from 1.5 to 3.54 times 2^-j: with c2 = 2 every level breaks the upper
+    # certificate, and the guard j >= 1 must let the check see them
+    whitney_cover = verify.whitney_cover
+    monkeypatch.setattr(verify, "whitney_cover",
+                        lambda *args: replace(whitney_cover(*args), c2=2.0))
+    out = check_partition_diagnostics(ModelDomain(2, 0), j_max=7,
+                                      n_points=300)
+    assert out["certificatesExact"] is False and not out["passed"]
 
 
 def test_spread_is_inf_unless_all_ratios_are_finite_and_positive():

@@ -90,8 +90,23 @@ def test_sequence_norm_of_zero_grid_is_zero(sys1):
     grid = wavelet_coefficients(lambda x: np.zeros(x.shape[1]), sys1, 4,
                                 ((-1.0,), (1.0,)))
     nv = f_sequence_norm(grid, s=1.0, tau=0.8)
-    assert (nv.value, nv.truncations, nv.classification) == (
-        0.0, [(2.0 ** -4, 0.0)], "Finite")
+    assert (nv.value, nv.truncations, nv.classification, nv.tail_share) == (
+        0.0, [(2.0 ** -4, 0.0)], "Finite", 0.0)
+
+
+@pytest.mark.parametrize("level,share,classification", [
+    (0, 0.0, "Finite"), (4, 1.0, "Inconclusive")])
+def test_sequence_norm_classifies_by_its_tail_share(level, share,
+                                                    classification):
+    # one coefficient: at level 0 the finer levels add nothing to the
+    # integral; at the finest level the last three levels carry all of it
+    grid = CoefficientGrid(d=1, J=5)
+    for j in range(5):
+        genders = ["D"] + (["A"] if j == 0 else [])
+        grid.levels[j] = {g: ((0,), np.zeros(4)) for g in genders}
+    grid.levels[level]["D"][1][1] = 1.0
+    nv = f_sequence_norm(grid, s=1.0, tau=0.8)
+    assert (nv.tail_share, nv.classification) == (share, classification)
 
 
 def _fine_box_by_nonzero(coeffs):
@@ -346,12 +361,11 @@ def test_coefficient_decay_of_smooth_function(sys1):
         return np.exp(-x[0] ** 2)
 
     grid = wavelet_coefficients(u, sys1, 8, ((-3.0,), (3.0,)))
-    mx = grid.max_abs_per_level()
     # below level ~5 the one-point sampling projection floor dominates, so
     # only the resolved levels witness the smoothness decay
-    details = [(j, v) for j, v in sorted(mx.items()) if 1 <= j <= 4]
-    slopes = [math.log2(details[i][1] / details[i + 1][1])
-              for i in range(len(details) - 1)]
+    peaks = [max(np.max(np.abs(arr)) for _, arr in grid.levels[j].values())
+             for j in range(1, 5)]
+    slopes = [math.log2(a / b) for a, b in zip(peaks, peaks[1:])]
     assert all(s > 1.4 for s in slopes)
 
 
