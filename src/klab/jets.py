@@ -1,22 +1,34 @@
 """Truncated multivariate Taylor arithmetic (forward jets).
 
 A :class:`Jet` carries the Taylor coefficients c_alpha = d^alpha f / alpha!
-of a function at a batch of points, truncated at a fixed total order.  All
-coefficient slots are numpy arrays of a common shape, so a single jet
-evaluates a whole batch of points at once.  Composition with univariate
-outer functions (powers, log, piecewise polynomials) is done by truncated
-series substitution, which is exact at the carried order.
+of a function at a batch of points, truncated at a fixed total order.  A
+coefficient slot is a numpy array of the batch shape, so a single jet
+evaluates a whole batch of points at once, or a Python float that is the
+same at every point.  Composition with univariate outer functions (powers,
+log, piecewise polynomials) is done by truncated series substitution, which
+is exact at the carried order.
+
+Float slots carry the structure of a jet: a coordinate jet's off-axis slots
+are 0.0 and its unit slot 1.0.  A product of two slots with a 0.0 factor is
+0.0, not computed, and with a 1.0 factor it is the other slot itself; a
+slot that receives no term stays 0.0.  Skipping these products changes no
+value beyond the sign of a zero.  Float slots stay inside this module: the
+value slot is always an array, :meth:`Jet.derivative` broadcasts a float
+slot to a read-only array of the batch shape, and :meth:`Jet.freeze` marks
+a jet's array slots read-only.
 
 A jet is an immutable value.  Its slot arrays may be shared with other
 jets, with the caller's points and with the outer derivative arrays handed
 to :meth:`Jet.compose`, so no operation copies an operand.  The rule that
 makes the sharing safe: an operation writes in place only into arrays it
 allocated itself (the accumulators of ``__mul__``, the totals of
-``PartitionOfUnity.psi_jet``).  The phi jets a partition of unity keeps
-for its pieces (``PartitionOfUnity.pieces``) are shared by every later call
-that integrates the same slice of cubes; their slots are read-only, so an
-in-place write to one raises instead of corrupting later pieces.  At order 0
-every operation reduces to the elementwise numpy expression on the values.
+``PartitionOfUnity.psi_jet``).  An accumulator that holds an operand's slot,
+passed through by a 1.0 factor, is therefore replaced, not added to.  The
+phi jets a partition of unity keeps for its pieces
+(``PartitionOfUnity.pieces``) are shared by every later call that
+integrates the same slice of cubes; they are frozen, so an in-place write
+to one raises instead of corrupting later pieces.  At order 0 every
+operation reduces to the elementwise numpy expression on the values.
 """
 
 from functools import lru_cache
@@ -48,13 +60,30 @@ def _mul_table(dim, order):
     return table
 
 
+def _zero(x):
+    """True for a float slot 0.0 (or -0.0); an array slot is never zero."""
+    return not isinstance(x, np.ndarray) and x == 0.0
+
+
+def _times(x, y):
+    """The product of two slots (or of a slot and a scalar): 0.0 when either
+    is a float 0.0, the other one itself when either is a float 1.0."""
+    if _zero(x) or _zero(y):
+        return 0.0
+    if not isinstance(x, np.ndarray) and x == 1.0:
+        return y
+    if not isinstance(y, np.ndarray) and y == 1.0:
+        return x
+    return x * y
+
+
 class Jet:
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim, order, coeffs):
         self.dim = dim
         self.order = order
-        self.coeffs = coeffs  # list of ndarrays, aligned with multi_indices
+        self.coeffs = coeffs  # ndarrays or floats, aligned with multi_indices
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -67,11 +96,10 @@ class Jet:
     def variable(cls, values, i, dim, order):
         values = np.asarray(values, dtype=float)
         idx = multi_indices(dim, order)
-        zero = np.zeros(values.shape)
-        coeffs = [values] + [zero] * (len(idx) - 1)
+        coeffs = [values] + [0.0] * (len(idx) - 1)
         if order >= 1:
             unit = tuple(1 if j == i else 0 for j in range(dim))
-            coeffs[idx.index(unit)] = np.ones(values.shape)
+            coeffs[idx.index(unit)] = 1.0
         return cls(dim, order, coeffs)
 
     @classmethod
@@ -87,10 +115,22 @@ class Jet:
         return self.coeffs[0]
 
     def derivative(self, alpha):
-        """Partial derivative d^alpha f (not the Taylor coefficient)."""
+        """Partial derivative d^alpha f (not the Taylor coefficient), an
+        array of the batch shape; read-only where the slot is a float."""
         idx = multi_indices(self.dim, self.order)
         fac = float(np.prod([factorial(k) for k in alpha]))
-        return self.coeffs[idx.index(tuple(alpha))] * fac
+        c = self.coeffs[idx.index(tuple(alpha))] * fac
+        if isinstance(c, np.ndarray):
+            return c
+        return np.broadcast_to(c, np.shape(self.value))
+
+    def freeze(self):
+        """Mark the array slots read-only, so that an in-place write to a
+        jet shared by later calls raises; returns the jet."""
+        for c in self.coeffs:
+            if isinstance(c, np.ndarray):
+                c.setflags(write=False)
+        return self
 
     def derivative_jet(self, alpha):
         """Jet of d^alpha f, of order self.order - |alpha|.
@@ -109,7 +149,7 @@ class Jet:
             delta = tuple(g + al for g, al in zip(gamma, alpha))
             fac = float(np.prod([factorial(dk) / factorial(gk)
                                  for dk, gk in zip(delta, gamma)]))
-            coeffs.append(self.coeffs[pos[delta]] * fac)
+            coeffs.append(_times(self.coeffs[pos[delta]], fac))
         return Jet(self.dim, new_order, coeffs)
 
     # -- arithmetic -------------------------------------------------------
@@ -130,12 +170,25 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, [a * other for a in self.coeffs])
+            out = [_times(a, other) for a in self.coeffs]
+            if _zero(other):   # the value slot stays an array
+                out[0] = self.coeffs[0] * other
+            return Jet(self.dim, self.order, out)
         a, b = self.coeffs, other.coeffs
-        # the table opens with the pairs (0, k, k), which seed the slots
-        out = [a[0] * bk for bk in b]
-        for i, j, k in _mul_table(self.dim, self.order)[len(b):]:
-            out[k] += a[i] * b[j]
+        out = [0.0] * len(b)
+        own = set()   # the slots whose array this product allocated
+        for i, j, k in _mul_table(self.dim, self.order):
+            term = _times(a[i], b[j])
+            if _zero(term):
+                continue
+            if k in own:
+                out[k] += term
+                continue
+            acc = term if _zero(out[k]) else out[k] + term
+            if isinstance(acc, np.ndarray) and acc is not a[i] \
+                    and acc is not b[j]:
+                own.add(k)
+            out[k] = acc
         return Jet(self.dim, self.order, out)
 
     __rmul__ = __mul__
@@ -161,7 +214,8 @@ class Jet:
         delta = Jet(self.dim, n, [0.0] + self.coeffs[1:])
         # delta g_n from delta's non-constant slots: at order 0 there are
         # none, and nothing beyond g_0 is computed
-        tail = Jet(self.dim, n, [0.0] + [c * g[-1] for c in self.coeffs[1:]])
+        tail = Jet(self.dim, n,
+                   [0.0] + [_times(c, g[-1]) for c in self.coeffs[1:]])
         for gk in reversed(g[:-1]):
             tail = delta * (tail + gk)
         return Jet(self.dim, n, [outer_derivs[0]] + tail.coeffs[1:])

@@ -304,9 +304,9 @@ def _piece_slice(pou, j, kk, m, nodes_per_dim):
                + 2.0 * side * unit[:, None, :]).reshape(d, -1)
         w = np.tile(wts * (2.0 * side) ** d, len(kk))
         phi = pou.phi_jet(j, np.repeat(kk.T, wts.size, axis=1), pts, m)
-        for arr in (pts, w, *phi.coeffs):
+        for arr in (pts, w):
             arr.setflags(write=False)
-        pou.pieces[key] = (pts, w, phi)
+        pou.pieces[key] = (pts, w, phi.freeze())
     return pou.pieces[key]
 
 

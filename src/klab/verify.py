@@ -731,11 +731,13 @@ def check_truth_table(n=200, seed=20260826):
 
 def check_partition_diagnostics(domain, j_max=8, n_points=10000,
                                 seed=20260826):
-    """Partition sums, certificate exactness, and level-count growth.  The
-    sums are checked on every covered point and on every point with
-    |x''| >= (c1 + 2 sqrt(d - ell)) 2^-j_max, which a selected cube holds;
-    there an uncovered point counts as a sum of 0."""
-    box = ((-2,) * domain.d, (2,) * domain.d)
+    """Partition sums, certificate exactness, and level-count growth on the
+    box [-4, 4]^d, which holds level-0 cubes, so every certificate,
+    C0_LEVEL0 too, is checked on some cube.  The sums are checked on every
+    covered point and on every point with |x''| >= (c1 + 2 sqrt(d - ell))
+    2^-j_max, which a selected cube holds; there an uncovered point counts
+    as a sum of 0."""
+    box = ((-4,) * domain.d, (4,) * domain.d)
     cover = whitney_cover(domain, box, j_max)
     pou = PartitionOfUnity(cover)
     rng = np.random.default_rng(seed)

@@ -119,6 +119,8 @@ def test_criterion_7_geometry_invariants():
     for ell, v in results.items():
         assert v["partitionSumError"] <= 1e-10
         assert v["certificatesExact"]
+        # level 0 holds cubes, so its own certificate is checked too
+        assert v["levelCounts"].get(0, 0) > 0
         assert all(abs(g - ell) <= 0.2 for g in v["growthRates"])
     assert dt < 60
 

@@ -122,3 +122,34 @@ def test_trajectory_follows_the_commits_that_added_the_files(tmp_path,
     assert "zeta" in out[1] and "0.2000 -> 0.1000 s" in out[1]
     assert "-50.0 %" in out[1] and "9/10 won" in out[1]
     assert "alpha" in out[2] and len(out) == 3
+
+
+def test_both_sides_run_from_sibling_copies(tmp_path):
+    # the parent side holds the commit, the change side the working tree
+    # with its uncommitted edit; a tracked file deleted from the working
+    # tree is not copied
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.txt").write_text("old\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")
+    (repo / "gone.txt").unlink()
+    (repo / "untracked.txt").write_text("scratch\n")
+    tmp = tmp_path / "sides"
+    tmp.mkdir()
+    trees = bench_pairs.side_trees("HEAD", tmp, root=repo)
+    assert trees["parent"].parent == trees["change"].parent == tmp
+    assert trees["parent"] != trees["change"]
+    assert (trees["parent"] / "pkg" / "mod.py").read_text() == "X = 1\n"
+    assert (trees["change"] / "pkg" / "mod.py").read_text() == "X = 2\n"
+    assert (trees["parent"] / "gone.txt").exists()
+    assert not (trees["change"] / "gone.txt").exists()
+    assert not (trees["change"] / "untracked.txt").exists()

@@ -187,3 +187,157 @@ def test_compose_cube_equals_products():
     prod = t * t * t
     for c, p in zip(cube.coeffs, prod.coeffs):
         assert np.max(np.abs(c - p)) <= 1e-14 * np.max(np.abs(p))
+
+
+# --- the float-slot rule against a dense reference ---
+#
+# The reference holds every slot as an array of the batch shape and makes
+# every product of the multiplication table, as the jets did before float
+# slots.  Skipped products only drop terms that are exactly +-0.0 and
+# pass-throughs only drop factors of exactly 1.0, so the two agree under ==
+# (which counts -0.0 equal to 0.0).
+
+def dense(jet):
+    shape = np.shape(jet.value)
+    return [np.array(np.broadcast_to(c, shape), dtype=float)
+            for c in jet.coeffs]
+
+
+def dense_mul(a, b, dim, order):
+    idx = multi_indices(dim, order)
+    pos = {al: n for n, al in enumerate(idx)}
+    out = [np.zeros_like(a[0]) for _ in idx]
+    for i, al in enumerate(idx):
+        for j, be in enumerate(idx):
+            ga = tuple(x + y for x, y in zip(al, be))
+            if sum(ga) <= order:
+                out[pos[ga]] = out[pos[ga]] + a[i] * b[j]
+    return out
+
+
+def dense_compose(a, derivs, dim, order):
+    g = [derivs[k] / math.factorial(k) for k in range(1, order + 1)]
+    delta = [np.zeros_like(a[0])] + a[1:]
+    tail = [np.zeros_like(a[0])] + [c * g[-1] for c in a[1:]]
+    for gk in reversed(g[:-1]):
+        tail = dense_mul(delta, [tail[0] + gk] + tail[1:], dim, order)
+    return [derivs[0]] + tail[1:]
+
+
+def power_derivs(v, e, order):
+    out, c = [], 1.0
+    for k in range(order + 1):
+        out.append(c * v ** (e - k))
+        c *= e - k
+    return out
+
+
+def log_derivs(v, order):
+    return [np.log(v)] + [(-1.0) ** (k - 1) * math.factorial(k - 1) / v ** k
+                          for k in range(1, order + 1)]
+
+
+def catalogue(d, order, seed):
+    """Jets with float slots of every kind (0.0, 1.0, -1.0, other floats)
+    and array slots, all with positive values, at points in [0.5, 1.5)."""
+    xs = Jet.variables(read_only_points(d, 7, seed), order)
+    x0, xl = xs[0], xs[-1]
+    sq = squared_norm_jet(xs)
+    return [*xs, x0 * xl, x0 * 0.5 + 1.0, -x0 + 2.0, sq, (x0 + 1.5).log(),
+            sq.power(-0.5) * x0]
+
+
+def assert_equal_slots(jet, reference):
+    got = dense(jet)
+    assert len(got) == len(reference)
+    for c, r in zip(got, reference):
+        assert np.all(c == r)
+
+
+CASES = [(d, order) for d in (1, 2, 3) for order in range(5)]
+
+
+@pytest.mark.parametrize("d, order", CASES)
+def test_products_equal_the_dense_reference(d, order):
+    jets = catalogue(d, order, 100 * d + order)
+    for a in jets:
+        for b in jets:
+            assert_equal_slots(a * b, dense_mul(dense(a), dense(b), d, order))
+
+
+@pytest.mark.parametrize("d, order", CASES)
+def test_compositions_equal_the_dense_reference(d, order):
+    rng = np.random.default_rng(7 * d + order)
+    for a in catalogue(d, order, 200 * d + order):
+        v = a.value
+        derivs = [rng.standard_normal(v.shape) for _ in range(order + 1)]
+        assert_equal_slots(a.compose(derivs),
+                           dense_compose(dense(a), derivs, d, order))
+        assert_equal_slots(a.power(-1.3), dense_compose(
+            dense(a), power_derivs(v, -1.3, order), d, order))
+        assert_equal_slots(a.log(), dense_compose(
+            dense(a), log_derivs(v, order), d, order))
+        recip = [(-1.0) ** k * math.factorial(k) / v ** (k + 1)
+                 for k in range(order + 1)]
+        assert_equal_slots(a.reciprocal(),
+                           dense_compose(dense(a), recip, d, order))
+
+
+@pytest.mark.parametrize("d, order", CASES)
+def test_derivatives_are_batch_arrays_equal_to_the_dense_reference(d, order):
+    idx = multi_indices(d, order)
+    for a in catalogue(d, order, 300 * d + order):
+        ref = dense(a)
+        assert isinstance(a.value, np.ndarray) and a.value.shape == (7,)
+        for n, alpha in enumerate(idx):
+            got = a.derivative(alpha)
+            fac = float(np.prod([math.factorial(k) for k in alpha]))
+            assert isinstance(got, np.ndarray) and got.shape == (7,)
+            assert np.all(got == ref[n] * fac)
+            sub = a.derivative_jet(alpha)
+            assert_equal_slots(sub, [
+                ref[idx.index(tuple(g + k for g, k in zip(gamma, alpha)))]
+                * float(np.prod([math.factorial(g + k) / math.factorial(g)
+                                 for g, k in zip(gamma, alpha)]))
+                for gamma in multi_indices(d, order - sum(alpha))])
+
+
+def test_coordinate_jets_hold_float_structure():
+    x, y = Jet.variables(read_only_points(2, 5, 14), 3)
+    assert x.coeffs[1:] == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    # structurally zero derivatives are read-only zero arrays
+    d = x.derivative((0, 2))
+    assert d.shape == (5,) and not d.flags.writeable and np.all(d == 0.0)
+    # times 1.0 passes every slot through, times 0.0 keeps an array value
+    f = x * y + 1.0
+    for c, c1 in zip((f * 1.0).coeffs, f.coeffs):
+        assert c is c1 if isinstance(c1, np.ndarray) else c == c1
+    z = f * 0.0
+    assert isinstance(z.value, np.ndarray) and np.all(z.value == 0.0)
+
+
+@pytest.mark.parametrize("d, order", CASES)
+def test_read_only_operands_are_never_written(d, order):
+    jets = [j.freeze() for j in catalogue(d, order, 400 * d + order)]
+    before = [dense(j) for j in jets]
+    x0 = jets[0]
+    for a in jets:
+        for b in jets:
+            a * b
+        # the first term of each x0-slot of a * x0 is a's slot itself,
+        # passed through by x0's 1.0; the next term must not add into it
+        a * x0
+        a.compose([a.value] * (order + 1))
+        a.power(0.5), a.log(), a.reciprocal()
+    for jet, old in zip(jets, before):
+        assert_equal_slots(jet, old)
+
+
+def test_frozen_slots_raise_on_in_place_writes():
+    x, y = Jet.variables(0.5 + np.random.default_rng(15).random((2, 4)), 2)
+    f = (x * y + 1.0).freeze()
+    arrays = [c for c in f.coeffs if isinstance(c, np.ndarray)]
+    assert 1 < len(arrays) < len(f.coeffs)
+    for c in arrays:
+        with pytest.raises(ValueError):
+            c += 1.0

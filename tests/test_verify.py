@@ -420,13 +420,25 @@ def test_partition_diagnostics_fail_when_points_are_uncovered(monkeypatch):
 
 
 def test_partition_certificates_check_the_upper_bound(monkeypatch):
-    # the box holds no level-0 cube, and each level j >= 1 has distances
-    # from 1.5 to 3.54 times 2^-j: with c2 = 2 every level breaks the upper
-    # certificate, and the guard j >= 1 must let the check see them
+    # each level j >= 1 has distances from 1.5 to 3.54 times 2^-j: with
+    # c2 = 2 every such level breaks the upper certificate, and the guard
+    # j >= 1 must let the check see them
     whitney_cover = verify.whitney_cover
     monkeypatch.setattr(verify, "whitney_cover",
                         lambda *args: replace(whitney_cover(*args), c2=2.0))
     out = check_partition_diagnostics(ModelDomain(2, 0), j_max=7,
+                                      n_points=300)
+    assert out["certificatesExact"] is False and not out["passed"]
+
+
+@pytest.mark.parametrize("d, ell", [(2, 0), (3, 1)])
+def test_partition_diagnostics_certify_level_0_cubes(monkeypatch, d, ell):
+    out = check_partition_diagnostics(ModelDomain(d, ell), j_max=4,
+                                      n_points=300)
+    assert out["levelCounts"].get(0, 0) > 0 and out["passed"]
+    # a level-0 lower bound that no level-0 cube meets breaks the check
+    monkeypatch.setattr(verify, "C0_LEVEL0", 100.0)
+    out = check_partition_diagnostics(ModelDomain(d, ell), j_max=4,
                                       n_points=300)
     assert out["certificatesExact"] is False and not out["passed"]
 

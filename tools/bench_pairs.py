@@ -3,12 +3,16 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload norm-ladders \
         --seeds 1-10 --out BENCH_mychange_norm-ladders.json
 
-Run it from the root of a klab checkout.  The parent's committed files are
-extracted with git archive into a temporary directory, removed again at the
-end.  For every seed the two sides run perfbench/run.py for the run_seconds
-of BENCHMARK.json one after the other, with the side that runs first
-swapped from one pair to the next, so drift in the host's speed falls on
-both.  For each end-to-end metric of BENCHMARK.json the tool prints the
+Run it from the root of a klab checkout.  Both sides run from copies in
+two sibling directories of one temporary directory, removed again at the
+end: the parent's committed files are extracted with git archive, and the
+working tree's tracked files are copied as they are, uncommitted edits
+included (stage a new file to take it along).  Where a tree lies moves
+perfbench's timings by several per cent, so neither side runs from the
+checkout itself.  For every seed the two sides run perfbench/run.py for
+the run_seconds of BENCHMARK.json one after the other, with the side that
+runs first swapped from one pair to the next, so drift in the host's speed
+falls on both.  For each end-to-end metric of BENCHMARK.json the tool prints the
 median and quartiles on each side, how many pairs the change won (ties
 count for neither side), the parent's interquartile range, and whether
 the change median is worse than the parent median by more than the
@@ -26,6 +30,7 @@ added them.  Standard library only.
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -150,6 +155,25 @@ def git(*args, root=ROOT):
                           capture_output=True, text=True).stdout.strip()
 
 
+def side_trees(parent, tmp, root=ROOT):
+    """Copies of the parent commit and of root's working tree in the
+    sibling directories tmp/parent and tmp/change: {side: path}."""
+    trees = {side: Path(tmp) / side for side in ("parent", "change")}
+    for tree in trees.values():
+        tree.mkdir()
+    archive = subprocess.run(["git", "archive", parent], cwd=root,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive,
+                   check=True)
+    for name in git("ls-files", "-z", root=root).split("\0"):
+        # a tracked file deleted in the working tree is left out
+        if name and (root / name).is_file():
+            dest = trees["change"] / name
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest)
+    return trees
+
+
 def committed_bench_files(root=ROOT):
     """(commit, file name) of each committed BENCH_*.json still in the
     tree, in the order of the commits that added them."""
@@ -197,13 +221,7 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "parent"
-        tree.mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive,
-                       check=True)
-        roots = {"parent": tree, "change": ROOT}
+        roots = side_trees(args.parent, tmp)
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 \
                 else ("change", "parent")
