@@ -57,32 +57,32 @@ class ModelDomain:
         return np.sqrt(np.sum(nearest ** 2, axis=1))
 
 
-def distance_jet(coords, ell):
-    """Jet of |x''|, x'' the coordinates from position ell on; with ell = 0
-    the norm |x|, which vanishes only at the origin, a point of every
-    singular set.
+def squared_distance_jet(coords, ell):
+    """Jet of |x''|^2, x'' the coordinates from position ell on; with ell = 0
+    the squared norm |x|^2, which vanishes only at the origin, a point of
+    every singular set.
 
-    The singular set is tested on |x''|^2, before the root, whose outer
-    derivatives would divide by zero there.
+    Raises SingularPoint on the singular set, before any root is taken:
+    the outer derivatives of a root would divide by zero there.
     """
     sq = squared_norm_jet(coords[ell:])
     if np.any(sq.value <= 0.0):
         raise SingularPoint("point lies on the singular set")
-    return sq.sqrt()
+    return sq
 
 
 def regularized_distance_from_jets(dist):
-    """Jet of rho = eta(|x''|) from the jet of |x''| (`distance_jet`).
-
-    The value slot is eta(|x''|) alone, the same at every jet order."""
+    """Jet of rho = eta(|x''|) from a jet of |x''|, in the coordinates or in
+    one variable such as |x''|^2: the one definition of rho.  The value
+    slot is eta(|x''|) alone, the same at every jet order."""
     return dist.compose(CAP.derivs(dist.value, dist.order))
 
 
 def regularized_distance(x, domain):
     """rho(x) in (0, 1]; equals the exact distance below the cap knee.
     The value of the order-0 jet, at points x of shape (d, n)."""
-    return regularized_distance_from_jets(distance_jet(
-        Jet.variables(as_points(x, domain.d), 0), domain.ell)).value
+    return regularized_distance_from_jets(squared_distance_jet(
+        Jet.variables(as_points(x, domain.d), 0), domain.ell).sqrt()).value
 
 
 # ---------------------------------------------------------------------------

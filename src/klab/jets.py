@@ -10,12 +10,13 @@ is exact at the carried order.
 
 Float slots carry the structure of a jet: a coordinate jet's off-axis slots
 are 0.0 and its unit slot 1.0.  A product of two slots with a 0.0 factor is
-0.0, not computed, and with a 1.0 factor it is the other slot itself; a
-slot that receives no term stays 0.0.  Skipping these products changes no
-value beyond the sign of a zero.  Float slots stay inside this module: the
-value slot is always an array, :meth:`Jet.derivative` broadcasts a float
-slot to a read-only array of the batch shape, and :meth:`Jet.freeze` marks
-a jet's array slots read-only.
+0.0, not computed, and with a 1.0 factor it is the other slot itself, as
+is a sum with a 0.0 term; a slot that receives no term stays 0.0.
+Skipping these products and sums changes no value beyond the sign of a
+zero.  Float slots stay inside this module: the value slot is always an
+array, :meth:`Jet.derivative` broadcasts a float slot to a read-only array
+of the batch shape, and :meth:`Jet.freeze` marks a jet's array slots
+read-only.
 
 A jet is an immutable value.  Its slot arrays may be shared with other
 jets, with the caller's points and with the outer derivative arrays handed
@@ -63,6 +64,16 @@ def _mul_table(dim, order):
 def _zero(x):
     """True for a float slot 0.0 (or -0.0); an array slot is never zero."""
     return not isinstance(x, np.ndarray) and x == 0.0
+
+
+def _plus(x, y):
+    """The sum of two slots (or of a slot and a scalar): the other one itself
+    when either is a float 0.0."""
+    if _zero(x):
+        return y
+    if _zero(y):
+        return x
+    return x + y
 
 
 def _times(x, y):
@@ -124,6 +135,13 @@ class Jet:
             return c
         return np.broadcast_to(c, np.shape(self.value))
 
+    def derivatives(self):
+        """f^(k) at the points, k = 0..order, of a one-variable jet: the
+        outer derivatives :meth:`compose` takes.  Float slots stay floats,
+        and the value and first-order slots are the jet's own."""
+        return [_times(c, float(factorial(k)))
+                for k, c in enumerate(self.coeffs)]
+
     def freeze(self):
         """Mark the array slots read-only, so that an in-place write to a
         jet shared by later calls raises; returns the jet."""
@@ -156,9 +174,9 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.dim, self.order,
-                       [self.coeffs[0] + other] + self.coeffs[1:])
+                       [_plus(self.coeffs[0], other)] + self.coeffs[1:])
         return Jet(self.dim, self.order,
-                   [a + b for a, b in zip(self.coeffs, other.coeffs)])
+                   [_plus(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
@@ -235,7 +253,7 @@ class Jet:
         derivs = []
         c = 1.0
         for k in range(self.order + 1):
-            derivs.append(c * v ** (exponent - k))
+            derivs.append(_times(c, v ** (exponent - k)))
             c *= (exponent - k)
         return self.compose(derivs)
 

@@ -243,7 +243,7 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
     Each u gets one jet per slice from `u.jet_from_sample`, on a Sample of
     the highest order its terms need plus the `extra_order` u declares:
     per slice there is one Sample for each such order, and the density's
-    rho is the value of the highest-order sample's rho jet.
+    rho is the value of the highest-order sample's one-variable rho.
     `oracles`, if given, holds one membership oracle per norm.
     """
     if not norms:
@@ -260,7 +260,7 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
         samples = {k: Sample(Jet.variables(x, k), cover.domain)
                    for k in set(order.values())}
         jets = {u: u.jet_from_sample(samples[k]) for u, k in order.items()}
-        rho = samples[max(samples)].rho().value
+        rho = samples[max(samples)].radial_rho().value
         rows = np.zeros((len(terms), x.shape[1]))
         for row, (u, lo, hi, density, _) in zip(rows, terms):
             for al in alphas:
@@ -329,7 +329,7 @@ def _piece_power_sum(u, pou, j, ks, m, density, nodes_per_dim):
                                    nodes_per_dim)
         sample = Sample(Jet.variables(pts, m), pou.cover.domain)
         piece = phi * u.jet_from_sample(sample)
-        rho = sample.rho().value
+        rho = sample.radial_rho().value
         for alpha in multi_indices(pou.d, m):
             total += float(np.sum(density(rho, alpha,
                                           piece.derivative(alpha)) * w))

@@ -5,6 +5,14 @@ rho the regularized distance to the singular set (valued in (0, 1], so
 1 + |log rho| = 1 - log rho) and zeta the fixed C^4 radial cutoff that is 1 on
 [0, 1] and 0 on [2, inf).  Points are arrays of shape (d, n)
 (`geometry.as_points`).
+
+Each member is a function of |x''|^2 and |x|^2 alone, so its factors are
+evaluated as one-variable jets in those two and composed into the
+coordinates once per member (`Sample`): univariate Taylor arithmetic
+followed by one chain rule (Griewank and Walther, Evaluating Derivatives,
+2nd ed., SIAM 2008, ch. 13).  Value slots equal those of the product of
+the factors' jets in the coordinates bit for bit; derivative slots differ
+from it by rounding only.
 """
 
 from __future__ import annotations
@@ -15,8 +23,9 @@ import numpy as np
 
 from .embeddings import compare
 from .errors import InvalidParams, Unsupported, UndeterminedByPaper
-from .geometry import as_points, distance_jet, regularized_distance_from_jets
-from .jets import Jet
+from .geometry import (as_points, regularized_distance_from_jets,
+                       squared_distance_jet)
+from .jets import Jet, squared_norm_jet
 from .profiles import CUTOFF, MAX_ORDER
 
 
@@ -36,17 +45,27 @@ class MembershipVerdict:
 
 class Sample:
     """The coordinate jets of one point set at one order, and the factors of
-    the family that depend only on them and on the domain: rho, rho^beta,
-    (1 - log rho)^lam and zeta(|x|/R) for each beta, lam and R, and each
-    member's jet.  A factor is built when a member first asks for it and
-    then shared by every member that evaluates on the sample.
+    the family that depend only on them and on the domain, each built when
+    a member first asks for it and then shared by every member that
+    evaluates on the sample.
 
-    When ell = 0, |x''| is |x|: rho and zeta share one norm jet, and with it
-    the singular-set test.  Only rho, the factors members multiply and the
-    members' jets are kept: 1 - log rho lives only inside its power, and
-    the |x''| jet is let go once rho is built.  So a sample that serves one
-    member, as on a wavelet grid, holds rho and that member's factors and
-    no more.
+    Every factor is radial: rho, rho^beta and (1 - log rho)^lam are
+    functions of q'' = |x''|^2, and zeta(|x|/R) of q = |x|^2, which is q''
+    when ell = 0.  q'' and q are the only jets in the coordinates; beyond
+    their value and first-order slots they hold the floats 0.0 and 1.0.
+    Each factor is a one-variable jet in q'' or q, of order + 1 slots, and
+    a member's jet is their product substituted into q'' by one
+    `Jet.compose` (`radial`); when ell > 0 the q'' and q factors are
+    composed apart and multiplied.  The singular set is tested on
+    q''.value, before any root.  The value slots equal those of the same
+    factors multiplied in the coordinates bit for bit, as a composition's
+    value slot is the outer value itself; derivative slots differ from
+    that chain by rounding only.
+
+    Only q'', q, rho, the factors members multiply and the members' jets
+    are kept: 1 - log rho lives only inside its power, and |x''| is let go
+    once rho is built.  So a sample that serves one member, as on a wavelet
+    grid, holds rho and that member's factors and no more.
     """
 
     def __init__(self, coords, domain):
@@ -61,46 +80,76 @@ class Sample:
             self._shared[key] = build()
         return self._shared[key]
 
-    def distance(self):
-        """|x''|; raises SingularPoint on the singular set."""
-        return self.shared(
-            "distance", lambda: distance_jet(self.coords, self.domain.ell))
+    # -- the jets in the coordinates -----------------------------------------
+    def squared_distance(self):
+        """q'' = |x''|^2; raises SingularPoint on the singular set."""
+        return self.shared("q''", lambda: squared_distance_jet(
+            self.coords, self.domain.ell))
 
-    def norm(self):
-        """|x|, which is |x''| when ell = 0; raises SingularPoint at the
-        origin."""
+    def squared_norm(self):
+        """q = |x|^2, which is q'' when ell = 0.  q'' is built first, so the
+        singular set is tested before any root of q."""
+        q2 = self.squared_distance()
         if self.domain.ell == 0:
-            return self.distance()
-        return self.shared("norm", lambda: distance_jet(self.coords, 0))
+            return q2
+        return self.shared("q", lambda: squared_norm_jet(self.coords))
+
+    def radial(self, near, far):
+        """The jet in the coordinates of near(q'') far(q), from one-variable
+        jets near in q'' (or None, for the factor one) and far in q."""
+        if self.domain.ell == 0:
+            f = far if near is None else near * far
+            return self.squared_distance().compose(f.derivatives())
+        u = self.squared_norm().compose(far.derivatives())
+        if near is None:
+            return u
+        return self.squared_distance().compose(near.derivatives()) * u
 
     def rho(self):
+        """rho as a jet in the coordinates, composed on each call."""
+        return self.squared_distance().compose(
+            self.radial_rho().derivatives())
+
+    # -- one-variable factors --------------------------------------------------
+    def distance(self):
+        """|x''| as a one-variable jet in q''."""
+        return self.shared("|x''|", lambda: _root(self.squared_distance()))
+
+    def norm(self):
+        """|x| as a one-variable jet in q; |x''| when ell = 0."""
+        if self.domain.ell == 0:
+            return self.distance()
+        return self.shared("|x|", lambda: _root(self.squared_norm()))
+
+    def radial_rho(self):
+        """rho as a one-variable jet in q''."""
         def build():
             rho = regularized_distance_from_jets(self.distance())
             # only a later cutoff of another R, or a window, needs it again
-            del self._shared["distance"]
+            del self._shared["|x''|"]
             return rho
         return self.shared("rho", build)
 
-    def require_off_singular_set(self):
-        """Raise SingularPoint on the singular set.  rho's |x''| was tested
-        when rho was built, so only a sample without rho builds |x''|."""
-        if "rho" not in self._shared:
-            self.distance()
-
     def rho_power(self, beta):
-        return self.shared(("rho", beta), lambda: self.rho().power(beta))
+        return self.shared(("rho", beta),
+                           lambda: self.radial_rho().power(beta))
 
     def log_power(self, lam):
         """(1 - log rho)^lam = (1 + |log rho|)^lam."""
         return self.shared(("log", lam),
-                           lambda: (-self.rho().log() + 1.0).power(lam))
+                           lambda: (-self.radial_rho().log() + 1.0).power(lam))
 
     def cutoff(self, R):
-        """zeta(|x| / R)."""
+        """zeta(|x| / R), a one-variable jet in q."""
         def build():
             t = self.norm() * (1.0 / R)
             return t.compose(CUTOFF.derivs(t.value, t.order))
         return self.shared(("cutoff", R), build)
+
+
+def _root(q):
+    """sqrt(q) as a jet in the one variable q."""
+    return Jet.variable(q.value, 0, 1, q.order).sqrt()
 
 
 @dataclass(frozen=True)
@@ -121,23 +170,20 @@ class TestFunction:
     def jet_from_sample(self, sample):
         """Jet of u on a Sample, built once per sample and member.
 
-        The factors multiply as ((rho^beta (1 - log rho)^lam) zeta), leaving
-        out rho^beta when beta = 0 and the log factor when lam = 0: a
-        factor of one only adds +-0.0 to each product.  With beta = lam = 0
-        no rho is built, but the singular set is still tested on |x''|^2.
+        The one-variable factors multiply as ((rho^beta (1 - log rho)^lam)
+        zeta), leaving out rho^beta when beta = 0 and the log factor when
+        lam = 0: a factor of one only adds +-0.0 to each product.  With
+        beta = lam = 0 no rho is built, but the singular set is still tested
+        on q''.
         """
         def build():
-            # zeta first: on ell = 0 it takes |x''| before rho lets it go;
-            # its norm, like rho's |x''|, is tested before the root
+            # zeta first: on ell = 0 it takes |x''| before rho lets it go
             zeta = sample.cutoff(self.R)
             u = sample.rho_power(self.beta) if self.beta != 0.0 else None
             if self.lam != 0.0:
                 log = sample.log_power(self.lam)
                 u = log if u is None else u * log
-            if u is None:
-                sample.require_off_singular_set()
-                return zeta
-            return u * zeta
+            return sample.radial(u, zeta)
         return sample.shared(self, build)
 
     def jet(self, x, order=MAX_ORDER):

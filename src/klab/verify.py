@@ -301,7 +301,9 @@ class PulledBackFunction:
 class WindowedFunction:
     """phi_j(x) u(x) with the dyadic annular window phi_j = w(log2(1/|x|)-j).
 
-    The windows of one sample share its |x|, its log2(1/|x|) and u's jet."""
+    The window is a one-variable jet in |x|^2, composed into the
+    coordinates by `Sample.radial`.  The windows of one sample share its
+    |x|, its log2(1/|x|) and u's jet."""
 
     extra_order = 0
 
@@ -313,7 +315,7 @@ class WindowedFunction:
         t = sample.shared("log2(1/|x|)", lambda: sample.norm().log()
                           * (-1.0 / math.log(2.0))) - float(self.j)
         w = t.compose(WINDOW.derivs(t.value, t.order))
-        return w * self.u.jet_from_sample(sample)
+        return sample.radial(None, w) * self.u.jet_from_sample(sample)
 
 
 def _norm_values(norms, cover, nodes_per_dim):

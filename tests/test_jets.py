@@ -341,3 +341,46 @@ def test_frozen_slots_raise_on_in_place_writes():
     for c in arrays:
         with pytest.raises(ValueError):
             c += 1.0
+
+
+@pytest.mark.parametrize("d, order", CASES)
+def test_sums_share_array_slots_beside_float_zeros(d, order):
+    # a sum slot whose other operand is the float 0.0 is the array slot
+    # itself, not a copy; later operations on the sums write into no
+    # frozen operand
+    jets = [j.freeze() for j in catalogue(d, order, 500 * d + order)]
+    before = [dense(j) for j in jets]
+    for a in jets:
+        for b in jets:
+            s = a + b
+            for x, y, z in zip(a.coeffs, b.coeffs, s.coeffs):
+                if isinstance(x, np.ndarray) and not isinstance(y, np.ndarray) \
+                        and y == 0.0:
+                    assert z is x
+                if isinstance(y, np.ndarray) and not isinstance(x, np.ndarray) \
+                        and x == 0.0:
+                    assert z is y
+            assert_equal_slots(s, [p + q for p, q in zip(dense(a), dense(b))])
+            s * s, s * a, (s + 1.0).log(), s.compose([s.value] * (order + 1))
+        assert (a + 0.0).value is a.value
+    for jet, old in zip(jets, before):
+        assert_equal_slots(jet, old)
+
+
+def test_one_variable_derivatives_are_compose_input():
+    # f^(k) = k! c_k; the value and first-order slots are the jet's own,
+    # and composing a coordinate jet with them is the one-variable chain
+    t = Jet.variable(read_only_points(1, 6, 17)[0], 0, 1, 4)
+    f = t.log() * t
+    derivs = f.derivatives()
+    assert derivs[0] is f.coeffs[0] and derivs[1] is f.coeffs[1]
+    assert all(np.all(g == c * math.factorial(k))
+               for k, (g, c) in enumerate(zip(derivs, f.coeffs)))
+    assert Jet.variable(np.ones(3), 0, 1, 2).derivatives()[1:] == [1.0, 0.0]
+    x, y = Jet.variables(read_only_points(2, 6, 18), 4)
+    sq = squared_norm_jet([x, y])
+    s = Jet.variable(sq.value, 0, 1, 4)
+    got = sq.compose((s.log() * s).derivatives())
+    want = sq.log() * sq
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from klab.errors import InvalidParams, UndeterminedByPaper
 from klab.geometry import ModelDomain, regularized_distance
-from klab.testfns import (f_space_membership_radial, kondratiev_membership,
-                          make_test_function)
+from klab.jets import Jet, multi_indices, squared_norm_jet
+from klab.profiles import CAP, CUTOFF, WINDOW
+from klab.testfns import (Sample, f_space_membership_radial,
+                          kondratiev_membership, make_test_function)
 
 
 @pytest.fixture(scope="module")
@@ -170,14 +172,14 @@ def test_to_json_round_trip(dom):
     assert float(v(x)[0]) == float(u(x)[0])
 
 
-def _separate_norms_jet(u, x, order):
-    """u's jet as the family was evaluated before samples: rho and
-    zeta(|x|/R) from norm jets of their own, rho^0 the constant jet one."""
-    from klab.geometry import distance_jet, regularized_distance_from_jets
-    from klab.jets import Jet, squared_norm_jet
-    from klab.profiles import CUTOFF
+def _chain_jet(u, x, order):
+    """u's jet from the chain in the coordinates, the reference for the
+    one-variable factors of `Sample`: |x''| and |x| as coordinate jets of
+    their own, rho = eta(|x''|), zeta(|x|/R), the powers and the products
+    all in the coordinates, rho^0 the constant jet one."""
     coords = Jet.variables(x, order)
-    rho = regularized_distance_from_jets(distance_jet(coords, u.domain.ell))
+    dist = squared_norm_jet(coords[u.domain.ell:]).sqrt()
+    rho = dist.compose(CAP.derivs(dist.value, order))
     v = rho.power(u.beta)
     if u.lam != 0.0:
         v = v * (-rho.log() + 1.0).power(u.lam)
@@ -185,23 +187,75 @@ def _separate_norms_jet(u, x, order):
     return v * t.compose(CUTOFF.derivs(t.value, order))
 
 
-@pytest.mark.parametrize("d,ell", [(2, 0), (2, 1), (3, 1)])
+def _window_chain_jet(u, j, x, order):
+    """The reference of WindowedFunction(u, j): w(log2(1/|x|) - j) u with
+    the window in the coordinates."""
+    t = (squared_norm_jet(Jet.variables(x, order)).sqrt().log()
+         * (-1.0 / math.log(2.0))) - float(j)
+    return t.compose(WINDOW.derivs(t.value, order)) * _chain_jet(u, x, order)
+
+
+DERIVATIVE_TOL = 1e-12   # of the largest |slot| of the reference
+DOMAINS = [(d, ell) for d in (1, 2, 3) for ell in range(d)]
+
+
+def _assert_rounding_only(got, want, values_equal=True):
+    """Value slots equal (when values_equal), and every slot within
+    DERIVATIVE_TOL times the reference slot's largest magnitude."""
+    if values_equal:
+        assert np.array_equal(got.value, want.value)
+    for g, w in zip(got.coeffs, want.coeffs, strict=True):
+        assert np.max(np.abs(np.subtract(g, w))) \
+            <= DERIVATIVE_TOL * np.max(np.abs(w))
+
+
+def _family(domain):
+    return [make_test_function(b, l, R, domain) for b in (0.0, 0.5, 1.2)
+            for l in (0.0, -0.7) for R in (1.0, 0.7)]
+
+
+def _points(d):
+    return np.random.default_rng(3).uniform(-2.5, 2.5, (d, 400))
+
+
+@pytest.mark.parametrize("d,ell", DOMAINS)
 def test_sample_jets_equal_separate_norm_jets(d, ell):
-    # the sample shares |x''| between rho and zeta when ell = 0, and leaves
-    # out the factors of one when beta or lam is 0 (the plateau cutoff
-    # among them); every slot equals the separate evaluation's, value for
-    # value, at every order
-    from klab.jets import Jet
-    from klab.testfns import Sample
+    # the members' one-variable factors, composed once, against the chain
+    # in the coordinates: values equal, derivatives equal up to rounding;
+    # one shared sample gives every member the jet a fresh sample gives it,
+    # and leaving out a factor of one changes no slot
     domain = ModelDomain(d, ell)
-    x = np.random.default_rng(3).uniform(-2.5, 2.5, (d, 400))
-    members = [make_test_function(b, l, R, domain) for b in (0.0, 0.5, 1.2)
-               for l in (0.0, -0.7) for R in (1.0, 0.7)]
+    x = _points(d)
     for order in range(5):
         sample = Sample(Jet.variables(x, order), domain)
         assert (sample.norm() is sample.distance()) == (ell == 0)
-        for u in members:
+        for u in _family(domain):
             got = u.jet_from_sample(sample)
-            want = _separate_norms_jet(u, x, order)
-            assert all(np.array_equal(g, w) for g, w
-                       in zip(got.coeffs, want.coeffs, strict=True))
+            _assert_rounding_only(got, _chain_jet(u, x, order))
+            fresh = u.jet_from_sample(Sample(Jet.variables(x, order), domain))
+            ones = sample.rho_power(u.beta) * sample.log_power(u.lam)
+            full = sample.radial(ones, sample.cutoff(u.R))
+            for other in (fresh, full):
+                assert all(np.array_equal(g, w) for g, w
+                           in zip(got.coeffs, other.coeffs, strict=True))
+
+
+@pytest.mark.parametrize("d,ell", DOMAINS)
+def test_windowed_and_derivative_jets_equal_the_chain(d, ell):
+    # the window is a one-variable jet in |x|^2 composed like u's factors;
+    # a derivative function differentiates u's composed jet
+    from klab.verify import DerivativeFunction, WindowedFunction
+    domain = ModelDomain(d, ell)
+    x = _points(d)
+    for order in range(5):
+        for u in _family(domain)[::3]:
+            sample = Sample(Jet.variables(x, order), domain)
+            for j in (0, 2):
+                _assert_rounding_only(
+                    WindowedFunction(u, j).jet_from_sample(sample),
+                    _window_chain_jet(u, j, x, order))
+            chain = _chain_jet(u, x, order)
+            for alpha in multi_indices(d, order):
+                _assert_rounding_only(
+                    DerivativeFunction(u, alpha).jet_from_sample(sample),
+                    chain.derivative_jet(alpha), values_equal=False)
