@@ -135,6 +135,9 @@ def whitney_cover(domain, box, j_max):
     grids = np.meshgrid(*[np.arange(int(lo[i]), int(hi[i])) for i in range(d)],
                         indexing="ij")
     active = np.stack([g.ravel() for g in grids], axis=1)
+    # the 2^d child offsets of a cube, (2^d, d)
+    offs = np.stack(np.meshgrid(*([np.arange(2)] * d), indexing="ij"),
+                    axis=-1).reshape(-1, d)
     for j in range(j_max + 1):
         if active.size == 0:
             cover.levels[j] = np.empty((0, d), dtype=int)
@@ -155,8 +158,6 @@ def whitney_cover(domain, box, j_max):
             active = active[~take]
         if j < j_max and active.size:
             # children of every rejected cube
-            offs = np.stack(np.meshgrid(*([np.arange(2)] * d), indexing="ij"),
-                            axis=-1).reshape(-1, d)
             active = (active[:, None, :] * 2 + offs[None, :, :]).reshape(-1, d)
 
     uncovered = len(active) * 2.0 ** (-j_max * d) if active.size else 0.0

@@ -56,6 +56,17 @@ def _on_transition(t, lo, hi, outer, inner, order):
     return [val.reshape(t.shape) for val in out]
 
 
+def _horner(x, c):
+    """sum_k c[k] x^k by Horner's scheme in one array updated in place:
+    numpy's polyval step y = c_k + y x with its addition commuted, so the
+    same bits."""
+    y = np.full_like(x, c[-1])
+    for c_k in c[-2::-1]:
+        y *= x
+        y += c_k
+    return y
+
+
 def smoothstep_derivs(t, order=MAX_ORDER):
     """S and derivatives; S=0 below 0 and S=1 above 1, C^4 at the knees."""
     t = np.asarray(t, dtype=float)
@@ -63,7 +74,7 @@ def smoothstep_derivs(t, order=MAX_ORDER):
     return _on_transition(
         t, 0.0, 1.0,
         lambda x, k: np.zeros(x.shape) if k else np.where(x >= 1.0, 1.0, 0.0),
-        lambda tin, order: [np.polynomial.polynomial.polyval(tin, c)
+        lambda tin, order: [_horner(tin, c)
                             for c in _S_DERIV_COEFS[:order + 1]],
         order)
 
@@ -119,7 +130,9 @@ class DistanceCap:
     within 3e-15 of max |eta^(k)| for every order k.  ``derivs``
     finds each transition point's piece and runs one Clenshaw recurrence
     over a block of BLOCK points at a time, gathering each point's
-    coefficients per step.
+    coefficients per step with ``take``.  The recurrence runs in place:
+    three preallocated arrays of the block's size rotate through its
+    steps, and each order's value is the only array it returns.
     """
 
     LO, HI = 0.5, 2.0
@@ -165,18 +178,32 @@ class DistanceCap:
             self._clenshaw, order)
 
     def _clenshaw(self, t, order):
-        """eta^(k)(t), k = 0..order, at points t inside the transition."""
+        """eta^(k)(t), k = 0..order, at points t inside the transition.
+
+        Each step b_n = c_n + 2x b_n+1 - b_n+2 is computed in place, as
+        (2x b_n+1 + c_n) - b_n+2, into the array that held b_n+3: three
+        arrays rotate, and a fourth takes each step's gathered c_n."""
         # each point's piece and its coordinate x in the piece
         s = (t - self.LO) * (self.PIECES / (self.HI - self.LO))
         idx = np.minimum(s.astype(np.intp), self.PIECES - 1)
         x = 2.0 * (s - idx) - 1.0
         x2 = 2.0 * x
+        c_n, b0, b1, b2 = (np.empty_like(x) for _ in range(4))
         out = []
         for c in self._table[:order + 1]:
-            b1, b2 = c[-1][idx], 0.0
+            # idx is in range: mode "clip" spares the copy of `out` that
+            # take makes under its default mode "raise"
+            c[-1].take(idx, out=b1, mode="clip")
+            b2.fill(0.0)
             for n in range(len(c) - 2, 0, -1):
-                b1, b2 = c[n][idx] + x2 * b1 - b2, b1
-            out.append(c[0][idx] + x * b1 - b2)
+                np.multiply(x2, b1, out=b0)
+                b0 += c[n].take(idx, out=c_n, mode="clip")
+                b0 -= b2
+                b0, b1, b2 = b2, b0, b1
+            val = x * b1
+            val += c[0].take(idx, out=c_n, mode="clip")
+            val -= b2
+            out.append(val)
         return out
 
 

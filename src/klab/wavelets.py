@@ -8,6 +8,7 @@ over separable (tensor) wavelets on dyadic cubes chi_{j,k}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -208,27 +209,32 @@ def _analyze_axis(arr, origin, bank, axis):
 
     `origin` is the integer index of the first entry along that axis; A is
     zero outside the array.  Only the kept (every second) outputs are
-    computed: A is copied into a zeroed buffer with F - 1 cells of margin
-    on both sides of the axis, and each kept window of F entries along the
-    axis is multiplied by the bank, one matrix product for all r filters.
-    Returns (output array, output origin); the output has a new last axis
-    of length r, one entry per filter.
+    computed.  A is copied into a zeroed buffer whose first axis is the
+    analysed one, with F - 1 cells of margin on both of its sides; the
+    buffer is an (L + 2(F - 1), R) matrix, one column per line of A along
+    the axis (R the product of the other axes' lengths).  Kept window k is
+    then an (R, F) block of rows, and n products (R, F) @ (F, r) correlate
+    all R lines with all r filters.  A one-dimensional A takes one
+    (n, F) @ (F, r) product instead: per window, numpy's matmul would take
+    its vector-matrix path, whose sums round differently.  Returns (output
+    array, output origin); the output is the products' (n, ..., r) array
+    viewed with the axis back in its place, n entries long, and a new last
+    axis of length r, one entry per filter.
     """
     F = len(bank)
     L = arr.shape[axis]
     k0 = -(-(origin - F + 1) // 2)               # ceil division
     t0 = 2 * k0 - origin + F - 1                 # 0 or 1
     n = (L + F - t0) // 2                        # outputs k0 .. k0 + n - 1
-    shape = list(arr.shape)
-    shape[axis] += 2 * (F - 1)
-    buf = np.zeros(shape)
-    inner = [slice(None)] * arr.ndim
-    inner[axis] = slice(F - 1, F - 1 + L)
-    buf[tuple(inner)] = arr
-    windows = sliding_window_view(buf, F, axis=axis)
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(t0, t0 + 2 * n - 1, 2)
-    return windows[tuple(sl)] @ bank, k0
+    lines = np.moveaxis(arr, axis, 0)
+    R = math.prod(lines.shape[1:])
+    buf = np.zeros((L + 2 * (F - 1),) + lines.shape[1:])
+    buf[F - 1:F - 1 + L] = lines
+    kept = sliding_window_view(buf.reshape(len(buf), R), F,
+                               axis=0)[t0:t0 + 2 * n - 1:2]
+    out = kept[:, 0] @ bank if arr.ndim == 1 else kept @ bank
+    return np.moveaxis(out.reshape((n,) + lines.shape[1:] + (-1,)), 0,
+                       axis), k0
 
 
 def wavelet_coefficients(u, system, J, box, projection="sample"):
@@ -243,9 +249,12 @@ def wavelet_coefficients(u, system, J, box, projection="sample"):
     Each level is d passes of `_analyze_axis` with the bank (h, g) over one
     array: pass i appends a gender axis (0 = 'A', 1 = 'D') for axis i, so
     after d passes the 2^d bands are the slices [..., g_0, ..., g_{d-1}] of
-    one stack and share one origin.  The 2^d - 1 wavelet bands are copied
-    out of the stack; the band 'A'*d feeds the next level, whose first pass
-    copies it, so the stack is freed one level later.
+    one stack and share one origin.  A pass copies its input once, into a
+    zero-margined buffer that puts axis i first, and returns its products
+    as a view with axis i back in place; the next pass reads that view.
+    The 2^d - 1 wavelet bands are copied out of the stack in C order; the
+    band 'A'*d feeds the next level, whose first pass copies it, so the
+    stack is freed one level later.
     """
     if J > MAX_LEVEL:
         raise Unsupported(f"J capped at {MAX_LEVEL} by the cascade resolution")
@@ -377,7 +386,8 @@ def f_sequence_norm(coeffs, s, tau):
     to whole cells of the level before.  A cell that leaves the active box
     keeps its S at every finer level, so its S^{tau/2} volume goes once
     into a running integral of finished cells; partial_j is that integral
-    plus the sum of S_j^{tau/2} 2^{-jd} over the box.
+    plus the sum of S_j^{tau/2} 2^{-jd} over the box.  The bands of a
+    level are squared and weighted in one scratch array, in place.
     """
     d = coeffs.d
     side = compare(s, sigma(tau, 2, d))
@@ -394,15 +404,19 @@ def f_sequence_norm(coeffs, s, tau):
     done, partial = 0.0, []                      # integral with levels <= j
     for n, j in enumerate(levels):
         weight = 4.0 ** (j * (s + d / 2.0))
+        term = None                              # the level's scratch array
         for origin, arr in coeffs.levels[j].values():
             k0 = np.maximum(a, origin)
             k1 = np.minimum(b, np.add(origin, arr.shape))
             if np.any(k0 >= k1):
                 continue
-            term = arr[tuple(map(slice, k0 - origin, k1 - origin))] ** 2
+            band = arr[tuple(map(slice, k0 - origin, k1 - origin))]
+            if term is None or term.shape != band.shape:
+                term = np.empty(band.shape)
+            np.square(band, out=term)
             term *= weight
             sq[tuple(map(slice, k0 - a, k1 - a))] += term
-            del term
+        del term
         keep, nxt = (slice(0, 0),) * d, None     # cells that stay active
         if n + 1 < len(levels):
             f = 2 ** (levels[n + 1] - j)

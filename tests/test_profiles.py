@@ -158,6 +158,37 @@ def test_cap_blocks_match_one_pass():
             assert _same_bits([got[k]], [expected]), k
 
 
+def _clenshaw_by_expressions(t, order):
+    """The cap's Clenshaw recurrence with a fresh array per step, each
+    coefficient gathered by fancy indexing: b_n = c_n + 2x b_n+1 - b_n+2."""
+    s = (t - CAP.LO) * (CAP.PIECES / (CAP.HI - CAP.LO))
+    idx = np.minimum(s.astype(np.intp), CAP.PIECES - 1)
+    x = 2.0 * (s - idx) - 1.0
+    x2 = 2.0 * x
+    out = []
+    for c in CAP._table[:order + 1]:
+        b1, b2 = c[-1][idx], 0.0
+        for n in range(len(c) - 2, 0, -1):
+            b1, b2 = c[n][idx] + x2 * b1 - b2, b1
+        out.append(c[0][idx] + x * b1 - b2)
+    return out
+
+
+@pytest.mark.parametrize("size", [profiles.BLOCK] + list(range(1, 101)))
+def test_cap_clenshaw_in_place_matches_expression_form(size):
+    # transition points, led by the piece boundaries nudged toward 1 (so
+    # both knees' inner neighbours)
+    t = np.random.default_rng(size).uniform(CAP.LO, CAP.HI, size)
+    edges = np.nextafter(np.linspace(CAP.LO, CAP.HI, CAP.PIECES + 1), 1.0)
+    t[:len(edges)] = edges[:size]
+    got = CAP._clenshaw(t, MAX_ORDER)
+    expected = _clenshaw_by_expressions(t, MAX_ORDER)
+    assert len(got) == MAX_ORDER + 1
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    assert all(np.array_equal(g, e) for g, e in zip(
+        CAP._clenshaw(t, 2), expected[:3]))
+
+
 def _smoothstep_full_then_mask(t, order):
     """S and its derivatives by `polyval` over every point, masked after."""
     t = np.asarray(t, dtype=float)
@@ -187,20 +218,37 @@ def _same_bits(got, expected):
 
 @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
 def test_smoothstep_is_polynomial_on_its_transition_only(order, monkeypatch):
-    polyval = np.polynomial.polynomial.polyval
+    horner = profiles._horner
     seen = []
 
     def spy(t, c):
         seen.append(np.asarray(t))
-        return polyval(t, c)
+        return horner(t, c)
 
     for t in _knee_points():
         expected = _smoothstep_full_then_mask(t, order)
-        monkeypatch.setattr(np.polynomial.polynomial, "polyval", spy)
+        monkeypatch.setattr(profiles, "_horner", spy)
         got = smoothstep_derivs(t, order)
         monkeypatch.undo()
         assert _same_bits(got, expected)
+    assert len(seen) == 3 * (order + 1)          # three inputs reach (0, 1)
     assert all(np.all((s > 0.0) & (s < 1.0)) for s in seen)
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_horner_in_place_is_polyval_bit_for_bit(order):
+    # inside, at the ends of and outside [0, 1]: the kernel alone, and
+    # smoothstep_derivs against polyval over every point, masked after
+    c = profiles._S_DERIV_COEFS[order]
+    ends = [np.nextafter(a, a + s) for a in (0.0, 1.0) for s in (-1, 0, 1)]
+    x = np.concatenate([np.linspace(-2.0, 3.0, 5001), ends,
+                        np.random.default_rng(37).uniform(0.0, 1.0, 3001)])
+    assert np.array_equal(profiles._horner(x, c),
+                          np.polynomial.polynomial.polyval(x, c))
+    for t in (x, x.reshape(2, -1)[:, ::3], np.float64(0.25)):
+        got = smoothstep_derivs(t, order)
+        expected = _smoothstep_full_then_mask(t, order)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 @pytest.mark.parametrize("profile", [BUMP, CUTOFF, WINDOW])

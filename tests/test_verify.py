@@ -1,5 +1,6 @@
 """Experiment harness: light configurations of every check."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -419,16 +420,49 @@ def test_partition_diagnostics_fail_when_points_are_uncovered(monkeypatch):
     assert out["partitionSumError"] == 1.0 and not out["passed"]
 
 
+def _cover_without_level_0(monkeypatch, c2=None):
+    """Make the check build its cover with no level-0 cubes, and with the
+    upper certificate constant c2 if given."""
+    whitney_cover = verify.whitney_cover
+
+    def cover_without_level_0(*args):
+        cover = whitney_cover(*args)
+        levels, dists = dict(cover.levels), dict(cover.dists)
+        levels[0], dists[0] = levels[0][:0], dists[0][:0]
+        return replace(cover, c2=c2 or cover.c2, levels=levels, dists=dists)
+
+    monkeypatch.setattr(verify, "whitney_cover", cover_without_level_0)
+
+
 def test_partition_certificates_check_the_upper_bound(monkeypatch):
     # each level j >= 1 has distances from 1.5 to 3.54 times 2^-j: with
     # c2 = 2 every such level breaks the upper certificate, and the guard
-    # j >= 1 must let the check see them
-    whitney_cover = verify.whitney_cover
-    monkeypatch.setattr(verify, "whitney_cover",
-                        lambda *args: replace(whitney_cover(*args), c2=2.0))
+    # j >= 1 must let the check see them.  Level 0's distances reach 3.54
+    # too, so the patched cover has no level 0: only a level j >= 1 can
+    # break the bound
+    _cover_without_level_0(monkeypatch, c2=2.0)
     out = check_partition_diagnostics(ModelDomain(2, 0), j_max=7,
                                       n_points=300)
     assert out["certificatesExact"] is False and not out["passed"]
+
+
+def test_partition_certificates_hold_without_level_0(monkeypatch):
+    # the control of the test above: with the cover's own c2 the same
+    # cover keeps every certificate
+    _cover_without_level_0(monkeypatch)
+    out = check_partition_diagnostics(ModelDomain(2, 0), j_max=7,
+                                      n_points=300)
+    assert out["certificatesExact"] is True
+
+
+@pytest.mark.parametrize("d, ell", [(2, 0), (3, 1)])
+def test_growth_rates_start_at_level_2(d, ell):
+    # at j_max 3 only the counts of levels 2 and 3 give a rate; the
+    # coarse levels 0 and 1 give none
+    out = check_partition_diagnostics(ModelDomain(d, ell), j_max=3,
+                                      n_points=300)
+    counts = out["levelCounts"]
+    assert out["growthRates"] == [math.log2(counts[3] / counts[2])]
 
 
 @pytest.mark.parametrize("d, ell", [(2, 0), (3, 1)])

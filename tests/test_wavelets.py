@@ -425,6 +425,64 @@ def test_analyze_axis_matches_full_convolution(order, shape):
                     <= 1e-14 * np.max(np.abs(want))
 
 
+def analyze_axis_in_place_of_axis(arr, origin, bank, axis):
+    """The decimated correlations with the axis left in its place: a
+    zero-margined copy, its kept sliding windows along the axis, and one
+    matmul of those windows with the bank."""
+    F = len(bank)
+    L = arr.shape[axis]
+    k0 = -(-(origin - F + 1) // 2)
+    t0 = 2 * k0 - origin + F - 1
+    n = (L + F - t0) // 2
+    shape = list(arr.shape)
+    shape[axis] += 2 * (F - 1)
+    buf = np.zeros(shape)
+    inner = [slice(None)] * arr.ndim
+    inner[axis] = slice(F - 1, F - 1 + L)
+    buf[tuple(inner)] = arr
+    windows = np.lib.stride_tricks.sliding_window_view(buf, F, axis=axis)
+    sl = [slice(None)] * arr.ndim
+    sl[axis] = slice(t0, t0 + 2 * n - 1, 2)
+    return windows[tuple(sl)] @ bank, k0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("shape", [(40,), (23, 31), (70, 9), (12, 9, 17),
+                                   (6, 40, 8, 2)])
+def test_analyze_axis_matches_in_place_windows_bit_for_bit(order, shape):
+    # 1D, 2D and 3D arrays as the transform makes them, and a stack with a
+    # gender axis
+    system = build_wavelet_system(order)
+    bank = np.stack([system.filter, system.gfilter], 1)
+    arr = np.random.default_rng(sum(shape)).standard_normal(shape)
+    for axis in range(len(shape)):
+        for origin in (-9, -4, 0, 5):
+            got, k0 = wavelets._analyze_axis(arr, origin, bank, axis)
+            want, w0 = analyze_axis_in_place_of_axis(arr, origin, bank, axis)
+            assert k0 == w0 and got.shape == want.shape
+            assert np.array_equal(got, want), (axis, origin)
+
+
+def test_coefficients_match_in_place_windows_bit_for_bit(monkeypatch):
+    system = build_wavelet_system(1)
+
+    def u(x):
+        return np.exp(-np.sum(x ** 2, axis=0)) * (1.0 + x[0] - 0.5 * x[1])
+
+    box = ((-1.0, -2.0), (2.0, 1.0))
+    grid = wavelet_coefficients(u, system, 4, box)
+    monkeypatch.setattr(wavelets, "_analyze_axis",
+                        analyze_axis_in_place_of_axis)
+    want = wavelet_coefficients(u, system, 4, box)
+    assert grid.levels.keys() == want.levels.keys()
+    for j, bands in want.levels.items():
+        assert list(grid.levels[j]) == list(bands)
+        for gender, (origin, arr) in bands.items():
+            assert grid.levels[j][gender][0] == origin
+            assert np.array_equal(grid.levels[j][gender][1], arr)
+            assert grid.levels[j][gender][1].flags.c_contiguous
+
+
 def capture_first_analysis(monkeypatch):
     """Record the (array, origin) of the first `_analyze_axis` call: the
     level-J scaling coefficients and the origin along axis 0."""
