@@ -386,8 +386,7 @@ def f_sequence_norm(coeffs, s, tau):
     to whole cells of the level before.  A cell that leaves the active box
     keeps its S at every finer level, so its S^{tau/2} volume goes once
     into a running integral of finished cells; partial_j is that integral
-    plus the sum of S_j^{tau/2} 2^{-jd} over the box.  The bands of a
-    level are squared and weighted in one scratch array, in place.
+    plus the sum of S_j^{tau/2} 2^{-jd} over the box.
     """
     d = coeffs.d
     side = compare(s, sigma(tau, 2, d))
@@ -404,19 +403,15 @@ def f_sequence_norm(coeffs, s, tau):
     done, partial = 0.0, []                      # integral with levels <= j
     for n, j in enumerate(levels):
         weight = 4.0 ** (j * (s + d / 2.0))
-        term = None                              # the level's scratch array
         for origin, arr in coeffs.levels[j].values():
             k0 = np.maximum(a, origin)
             k1 = np.minimum(b, np.add(origin, arr.shape))
             if np.any(k0 >= k1):
                 continue
-            band = arr[tuple(map(slice, k0 - origin, k1 - origin))]
-            if term is None or term.shape != band.shape:
-                term = np.empty(band.shape)
-            np.square(band, out=term)
+            term = arr[tuple(map(slice, k0 - origin, k1 - origin))] ** 2
             term *= weight
             sq[tuple(map(slice, k0 - a, k1 - a))] += term
-        del term
+            del term
         keep, nxt = (slice(0, 0),) * d, None     # cells that stay active
         if n + 1 < len(levels):
             f = 2 ** (levels[n + 1] - j)

@@ -33,20 +33,21 @@ def _tree(path, alpha, csv=CSV):
 
 
 def _run(tmp_path, capsys, new_alpha, new_csv=CSV):
+    """compare_dirs over the two trees: its (moved, beyond, flips) and
+    the lines it printed."""
     old = _tree(tmp_path / "old", _doc())
     new = _tree(tmp_path / "new", new_alpha, new_csv)
-    code = report_diff.main(["--compare", str(old), str(new)])
-    return code, capsys.readouterr().out.splitlines()
+    counts = report_diff.compare_dirs(old, new, ["alpha", "beta"])
+    return counts, capsys.readouterr().out.splitlines()
 
 
 def test_one_moved_float_one_flipped_flag_one_identical_file(tmp_path,
                                                               capsys):
     # params.out and params.versions differ too, and are left out
-    code, lines = _run(tmp_path, capsys, _doc(ratio=1.5 * (1 + 1e-6),
-                                              passed=False, out="/b/run",
-                                              numpy="2.0"))
-    assert code == 1
-    moved = lines[:-1]
+    counts, moved = _run(tmp_path, capsys, _doc(ratio=1.5 * (1 + 1e-6),
+                                                passed=False, out="/b/run",
+                                                numpy="2.0"))
+    assert counts == (3, 3, 2)
     ratio = next(line for line in moved if " statistics.ratio " in line)
     name, path, old, arrow, new, rel = ratio.split()
     assert (name, path, old, arrow) == ("alpha", "statistics.ratio", "1.5",
@@ -57,43 +58,38 @@ def test_one_moved_float_one_flipped_flag_one_identical_file(tmp_path,
     assert "alpha statistics.rows[0].passed True -> False inf" in moved
     assert len(moved) == 3
     assert not any("params" in line or line.startswith("beta")
-                   for line in lines)
-    assert lines[-1] == ("3 leaves moved, 3 beyond 1e-10 relative, 2 pass "
-                         "flags flipped")
+                   for line in moved)
 
 
 def test_a_move_within_the_tolerance_is_printed_and_passes(tmp_path,
                                                            capsys):
-    code, lines = _run(tmp_path, capsys, _doc(ratio=1.5 * (1 + 4e-16)))
-    assert code == 0
-    assert len(lines) == 2 and lines[0].startswith("alpha statistics.ratio")
-    assert lines[-1].startswith("1 leaves moved, 0 beyond")
+    counts, lines = _run(tmp_path, capsys, _doc(ratio=1.5 * (1 + 4e-16)))
+    assert counts == (1, 0, 0)
+    assert len(lines) == 1 and lines[0].startswith("alpha statistics.ratio")
 
 
-def test_identical_trees_exit_0(tmp_path, capsys):
-    code, lines = _run(tmp_path, capsys, _doc())
-    assert code == 0
-    assert lines == ["0 leaves moved, 0 beyond 1e-10 relative, 0 pass flags "
-                     "flipped"]
+def test_identical_trees_move_nothing(tmp_path, capsys):
+    counts, lines = _run(tmp_path, capsys, _doc())
+    assert counts == (0, 0, 0)
+    assert lines == []
 
 
 def test_csv_cells_are_named_by_row_and_header(tmp_path, capsys):
-    code, lines = _run(tmp_path, capsys, _doc(),
-                       CSV.replace("1.25,True", "1.5,False"))
-    assert code == 1
-    assert lines[:2] == ["alpha csv[1].ratio 1.25 -> 1.5 0.167",
-                         "alpha csv[1].passed 'True' -> 'False' inf"]
-    assert lines[-1].endswith("1 pass flags flipped")
+    counts, lines = _run(tmp_path, capsys, _doc(),
+                         CSV.replace("1.25,True", "1.5,False"))
+    assert counts == (2, 2, 1)
+    assert lines == ["alpha csv[1].ratio 1.25 -> 1.5 0.167",
+                     "alpha csv[1].passed 'True' -> 'False' inf"]
 
 
 def test_a_leaf_on_one_side_only_moves(tmp_path, capsys):
     doc = _doc()
     doc["statistics"]["extra"] = 3.0
     del doc["statistics"]["ladder"][1]
-    code, lines = _run(tmp_path, capsys, doc)
-    assert code == 1
-    assert lines[:2] == ["alpha statistics.ladder[1] 2.0 -> '<missing>' inf",
-                         "alpha statistics.extra '<missing>' -> 3.0 inf"]
+    counts, lines = _run(tmp_path, capsys, doc)
+    assert counts == (2, 2, 0)
+    assert lines == ["alpha statistics.ladder[1] 2.0 -> '<missing>' inf",
+                     "alpha statistics.extra '<missing>' -> 3.0 inf"]
 
 
 def test_relative_change():

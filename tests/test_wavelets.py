@@ -450,8 +450,18 @@ def analyze_axis_in_place_of_axis(arr, origin, bank, axis):
 @pytest.mark.parametrize("shape", [(40,), (23, 31), (70, 9), (12, 9, 17),
                                    (6, 40, 8, 2)])
 def test_analyze_axis_matches_in_place_windows_bit_for_bit(order, shape):
-    # 1D, 2D and 3D arrays as the transform makes them, and a stack with a
-    # gender axis
+    """1D, 2D and 3D arrays as the transform makes them, and a stack with a
+    gender axis.
+
+    Both forms sum each window's F products in the same order, but not in
+    the same kernel: the reference's passes along the last axis run
+    numpy's own matmul loop (its window stride of two entries is below F,
+    so numpy does not hand it to BLAS), while `_analyze_axis` hands every
+    multi-dimensional pass to BLAS gemm.  Equal bits were checked with
+    numpy 2.4.6 and its bundled OpenBLAS 0.3.31; a BLAS whose gemm rounds
+    differently (one that fuses multiply and add, say) may move outputs
+    by an ulp and fail this test while the reports stay within 1e-10.
+    """
     system = build_wavelet_system(order)
     bank = np.stack([system.filter, system.gfilter], 1)
     arr = np.random.default_rng(sum(shape)).standard_normal(shape)
@@ -464,6 +474,7 @@ def test_analyze_axis_matches_in_place_windows_bit_for_bit(order, shape):
 
 
 def test_coefficients_match_in_place_windows_bit_for_bit(monkeypatch):
+    # bit identity depends on the BLAS build, as in the test above
     system = build_wavelet_system(1)
 
     def u(x):

@@ -1,23 +1,21 @@
 """Compare the `klab verify` reports of a parent commit with the working tree.
 
     python3 tools/report_diff.py --parent HEAD~1
-    python3 tools/report_diff.py --compare OLD_DIR NEW_DIR
 
-Run it from the root of a klab checkout.  With --parent, both sides run
-from the sibling copies of `bench_pairs.side_trees` (the parent's
-committed files and the working tree's tracked files), and every
-`klab.verify.EXPERIMENTS` entry of either side runs as `klab verify NAME
---out DIR`, one process per experiment and side, with the side that runs
-first swapped from one experiment to the next.  With --compare, two
-directories of stored reports are compared as they are, and nothing runs.
+Run it from the root of a klab checkout.  Both sides run from the sibling
+copies of `bench_pairs.side_trees` (the parent's committed files and the
+working tree's tracked files), and every `klab.verify.EXPERIMENTS` entry
+of either side runs as `klab verify NAME --out DIR`, one process per
+experiment and side, with the side that runs first swapped from one
+experiment to the next.
 
 Each experiment's JSON document and CSV are walked leaf by leaf, leaving
 out `params.out` and `params.versions`; a CSV leaf is one cell, named by
 its data row and column header.  Every leaf that differs is printed as
 `experiment path old -> new relative`, where relative is |new - old| /
 max(|old|, |new|) for two numbers and inf for any other change, a leaf
-present on one side only included.  With --parent each side's wall time
-per experiment follows.  Exits 1 if a leaf moves beyond 1e-10 relative
+present on one side only included.  Each side's wall time per
+experiment follows.  Exits 1 if a leaf moves beyond 1e-10 relative
 or a `pass`/`passed` flag flips, and 0 otherwise.  Standard library only.
 """
 
@@ -44,11 +42,7 @@ MISSING = "<missing>"
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--parent", help="git ref to compare")
-    group.add_argument("--compare", nargs=2, type=Path,
-                       metavar=("OLD_DIR", "NEW_DIR"),
-                       help="two directories of stored reports")
+    parser.add_argument("--parent", required=True, help="git ref to compare")
     return parser.parse_args(argv)
 
 
@@ -184,34 +178,27 @@ def run_experiment(tree, name, outdir):
 
 def main(argv=None):
     args = parse_args(argv)
-    if args.compare:
-        old_dir, new_dir = args.compare
-        names = sorted({p.stem for d in args.compare for p in d.iterdir()
-                        if p.suffix in (".json", ".csv")})
-        moved, beyond, flips = compare_dirs(old_dir, new_dir, names)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            trees = side_trees(args.parent, tmp)
-            known = {side: experiment_names(tree)
-                     for side, tree in trees.items()}
-            names = known["change"] + [n for n in known["parent"]
-                                       if n not in known["change"]]
-            dirs = {side: Path(tmp) / "out" / side for side in trees}
-            seconds = {side: {} for side in trees}
-            for i, name in enumerate(names):
-                order = ("parent", "change") if i % 2 == 0 \
-                    else ("change", "parent")
-                for side in order:
-                    if name in known[side]:
-                        seconds[side][name] = run_experiment(
-                            trees[side], name, dirs[side])
-            moved, beyond, flips = compare_dirs(dirs["parent"],
-                                                dirs["change"], names)
-        print(f"{'experiment':20s} {'parent s':>9s} {'change s':>9s}")
-        for name in names:
-            cols = [f"{seconds[side][name]:9.2f}" if name in seconds[side]
-                    else f"{'-':>9s}" for side in ("parent", "change")]
-            print(f"{name:20s} {cols[0]} {cols[1]}")
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = side_trees(args.parent, tmp)
+        known = {side: experiment_names(tree) for side, tree in trees.items()}
+        names = known["change"] + [n for n in known["parent"]
+                                   if n not in known["change"]]
+        dirs = {side: Path(tmp) / "out" / side for side in trees}
+        seconds = {side: {} for side in trees}
+        for i, name in enumerate(names):
+            order = ("parent", "change") if i % 2 == 0 \
+                else ("change", "parent")
+            for side in order:
+                if name in known[side]:
+                    seconds[side][name] = run_experiment(trees[side], name,
+                                                         dirs[side])
+        moved, beyond, flips = compare_dirs(dirs["parent"], dirs["change"],
+                                            names)
+    print(f"{'experiment':20s} {'parent s':>9s} {'change s':>9s}")
+    for name in names:
+        cols = [f"{seconds[side][name]:9.2f}" if name in seconds[side]
+                else f"{'-':>9s}" for side in ("parent", "change")]
+        print(f"{name:20s} {cols[0]} {cols[1]}")
     print(f"{moved} leaves moved, {beyond} beyond {TOLERANCE:g} relative, "
           f"{flips} pass flags flipped")
     return 1 if beyond or flips else 0
