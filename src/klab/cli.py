@@ -302,6 +302,11 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
+    out = getattr(args, "out", None)
+    if out and Path(out).exists() and not Path(out).is_dir():
+        print(f"error: --out {out} exists and is not a directory",
+              file=sys.stderr)
+        return EXIT_INVALID
     from .errors import KlabError
     try:
         return args.func(args)

@@ -294,11 +294,3 @@ class PartitionOfUnity:
         if np.any(psi.value < PSI_FLOOR):
             raise OutsideCover("point outside the covered region")
         return self.bump_jet(j, k, x, order) / psi
-
-    def overlap_count(self, x):
-        count = np.zeros(x.shape[1], dtype=int)
-        for j, kk, ixs in self._neighbor_batches(x):
-            vals = self.bump_jet(j, kk, x.take(ixs, axis=1), order=0).value
-            count[ixs] += (vals != 0.0).astype(int)
-        return count
-

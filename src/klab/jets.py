@@ -150,26 +150,6 @@ class Jet:
                 c.setflags(write=False)
         return self
 
-    def derivative_jet(self, alpha):
-        """Jet of d^alpha f, of order self.order - |alpha|.
-
-        The Taylor coefficient of d^alpha f at gamma is
-        c_{gamma+alpha} * (gamma+alpha)! / gamma!.
-        """
-        alpha = tuple(int(k) for k in alpha)
-        new_order = self.order - sum(alpha)
-        if new_order < 0:
-            raise ValueError("derivative order exceeds jet order")
-        idx = multi_indices(self.dim, self.order)
-        pos = {a: i for i, a in enumerate(idx)}
-        coeffs = []
-        for gamma in multi_indices(self.dim, new_order):
-            delta = tuple(g + al for g, al in zip(gamma, alpha))
-            fac = float(np.prod([factorial(dk) / factorial(gk)
-                                 for dk, gk in zip(delta, gamma)]))
-            coeffs.append(_times(self.coeffs[pos[delta]], fac))
-        return Jet(self.dim, new_order, coeffs)
-
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Jet):

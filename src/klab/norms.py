@@ -7,8 +7,8 @@ are realized by summing levels j with 2^-j >= eps, which yields monotone
 truncation ladders for nonnegative integrands.  A ladder makes one
 integrand call per slice of levels (`integral_ladder`); an integrand of r
 rows yields r ladders, so `cover_norms` takes several norms, each a list
-of terms, from one pass: per slice and jet order, one `testfns.Sample`,
-whose rho every function and the density share.
+of terms, from one pass: per slice, one `testfns.Sample`, whose rho every
+function and the density share.
 """
 
 from __future__ import annotations
@@ -240,10 +240,9 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
 
     A norm is a list of terms (u, lo, hi, density, p): the sum over them of
     (sum_{lo <= |alpha| <= hi} int density(rho, alpha, d^alpha u))^{1/p}.
-    Each u gets one jet per slice from `u.jet_from_sample`, on a Sample of
-    the highest order its terms need plus the `extra_order` u declares:
-    per slice there is one Sample for each such order, and the density's
-    rho is the value of the highest-order sample's one-variable rho.
+    Per slice there is one Sample, of the highest hi over all terms; each
+    distinct u gets one jet from it by `u.jet_from_sample`, and the
+    density's rho is the value of the sample's one-variable rho.
     `oracles`, if given, holds one membership oracle per norm.
     """
     if not norms:
@@ -251,16 +250,14 @@ def cover_norms(norms, cover, nodes_per_dim=DEFAULT_NODES, oracles=None):
     if oracles is not None and len(oracles) != len(norms):
         raise InvalidParams(f"{len(oracles)} oracles for {len(norms)} norms")
     terms = [t for norm in norms for t in norm]
-    order = {}
-    for u, _, hi, _, _ in terms:
-        order[u] = max(order.get(u, 0), hi + u.extra_order)
-    alphas = multi_indices(len(cover.box[0]), max(t[2] for t in terms))
+    functions = dict.fromkeys(t[0] for t in terms)
+    top = max(t[2] for t in terms)
+    alphas = multi_indices(len(cover.box[0]), top)
 
     def integrand(x):
-        samples = {k: Sample(Jet.variables(x, k), cover.domain)
-                   for k in set(order.values())}
-        jets = {u: u.jet_from_sample(samples[k]) for u, k in order.items()}
-        rho = samples[max(samples)].radial_rho().value
+        sample = Sample(Jet.variables(x, top), cover.domain)
+        jets = {u: u.jet_from_sample(sample) for u in functions}
+        rho = sample.radial_rho().value
         rows = np.zeros((len(terms), x.shape[1]))
         for row, (u, lo, hi, density, _) in zip(rows, terms):
             for al in alphas:

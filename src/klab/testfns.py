@@ -47,7 +47,8 @@ class Sample:
     """The coordinate jets of one point set at one order, and the factors of
     the family that depend only on them and on the domain, each built when
     a member first asks for it and then shared by every member that
-    evaluates on the sample.
+    evaluates on the sample.  `norms.cover_norms` builds one per slice, of
+    the highest order its terms need.
 
     Every factor is radial: rho, rho^beta and (1 - log rho)^lam are
     functions of q'' = |x''|^2, and zeta(|x|/R) of q = |x|^2, which is q''
@@ -87,11 +88,9 @@ class Sample:
             self.coords, self.domain.ell))
 
     def squared_norm(self):
-        """q = |x|^2, which is q'' when ell = 0.  q'' is built first, so the
-        singular set is tested before any root of q."""
-        q2 = self.squared_distance()
-        if self.domain.ell == 0:
-            return q2
+        """q = |x|^2 when ell > 0 (on ell = 0 the callers take q'').  q'' is
+        built first, so the singular set is tested before any root of q."""
+        self.squared_distance()
         return self.shared("q", lambda: squared_norm_jet(self.coords))
 
     def radial(self, near, far):
@@ -104,11 +103,6 @@ class Sample:
         if near is None:
             return u
         return self.squared_distance().compose(near.derivatives()) * u
-
-    def rho(self):
-        """rho as a jet in the coordinates, composed on each call."""
-        return self.squared_distance().compose(
-            self.radial_rho().derivatives())
 
     # -- one-variable factors --------------------------------------------------
     def distance(self):
@@ -160,7 +154,6 @@ class TestFunction:
     lam: float
     R: float
     domain: object
-    extra_order = 0   # orders its sample needs beyond its terms' (none)
 
     def __post_init__(self):
         if not self.R > 0:

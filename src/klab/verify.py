@@ -261,26 +261,8 @@ def _partition_passed(sum_err, cert_ok, growth, ell):
             and all(abs(g - ell) <= 0.2 for g in growth))
 
 
-class DerivativeFunction:
-    """d^alpha u with jets delegated to the closed family's exact jets.
-
-    It declares |alpha| extra orders, so `cover_norms` hands it a sample
-    |alpha| orders above its terms' highest, and u's jet on that sample is
-    the one u's own terms use."""
-
-    def __init__(self, u, alpha):
-        self.u = u
-        self.alpha = tuple(int(k) for k in alpha)
-        self.extra_order = sum(self.alpha)
-
-    def jet_from_sample(self, sample):
-        return self.u.jet_from_sample(sample).derivative_jet(self.alpha)
-
-
 class PulledBackFunction:
     """u(A x) for a linear map A (diffeomorphism catalog entries)."""
-
-    extra_order = 0
 
     def __init__(self, u, matrix):
         self.u = u
@@ -304,8 +286,6 @@ class WindowedFunction:
     The window is a one-variable jet in |x|^2, composed into the
     coordinates by `Sample.radial`.  The windows of one sample share its
     |x|, its log2(1/|x|) and u's jet."""
-
-    extra_order = 0
 
     def __init__(self, u, j):
         self.u = u
@@ -585,18 +565,35 @@ def check_counterexample_divergence(m=1, a=None, p=2.0, tau=1.0, d=2,
                             notes=notes, params=params)
 
 
+def _shifted(terms, alpha):
+    """The terms of d^alpha u, read from u's own jet: d^gamma d^alpha u is
+    d^(gamma + alpha) u, so each term's orders move up by |alpha|, its
+    density sees gamma, and a slot of u not >= alpha adds 0.0."""
+    k = sum(alpha)
+
+    def on(density):
+        def shifted(rho, al, v):
+            gamma = tuple(i - j for i, j in zip(al, alpha))
+            return density(rho, gamma, v) if min(gamma) >= 0 else 0.0
+        return shifted
+
+    return [(u, lo + k, hi + k, on(density), p)
+            for u, lo, hi, density, p in terms]
+
+
 def check_derivative_mapping(family, m, alpha, p, domain, cover,
                              nodes_per_dim=norms.DEFAULT_NODES):
-    """||d^alpha u|F^{m-|alpha|,rloc}|| <= c ||u|F^{m,rloc}|| ratios."""
+    """||d^alpha u|F^{m-|alpha|,rloc}|| <= c ||u|F^{m,rloc}|| ratios; the
+    terms of d^alpha u read u's own jet (`_shifted`), one per slice."""
     k = sum(alpha)
     if m - k < 1:
         raise InvalidParams("need m - |alpha| >= 1")
     kept, excluded = _in_f_space(family, m, p, domain, "F^{m,rloc}")
     pairs = []
     for u in kept:
-        du = DerivativeFunction(u, alpha)
         pairs.append(_norm_values(
-            [sobolev_terms(du, m - k, p) + weighted_lp_terms(du, -(m - k), p),
+            [_shifted(sobolev_terms(u, m - k, p)
+                      + weighted_lp_terms(u, -(m - k), p), alpha),
              sobolev_terms(u, m, p) + weighted_lp_terms(u, -m, p)],
             cover, nodes_per_dim))
     return _ratio_report(kept, excluded, f"rloc(m-{k}) of derivative",
@@ -733,9 +730,10 @@ def check_truth_table(n=200, seed=20260826):
 
 def check_partition_diagnostics(domain, j_max=8, n_points=10000,
                                 seed=20260826):
-    """Partition sums, certificate exactness, and level-count growth on the
-    box [-4, 4]^d, which holds level-0 cubes, so every certificate,
-    C0_LEVEL0 too, is checked on some cube.  The sums are checked on every
+    """Partition sums, certificate exactness, level-count growth and the
+    most bumps nonzero at one point (`maxOverlap`) on the box [-4, 4]^d,
+    which holds level-0 cubes, so every certificate, C0_LEVEL0 too, is
+    checked on some cube.  The sums are checked on every
     covered point and on every point with |x''| >= (c1 + 2 sqrt(d - ell))
     2^-j_max, which a selected cube holds; there an uncovered point counts
     as a sum of 0."""
@@ -752,10 +750,12 @@ def check_partition_diagnostics(domain, j_max=8, n_points=10000,
     # accumulate the normalized pieces independently so that floating-point
     # error in the sum is actually measured
     total = np.zeros(pts.shape[1])
+    overlap = np.zeros(pts.shape[1], dtype=int)   # nonzero bumps per point
     safe = np.where(covered, psi, 1.0)
     for j, kk, ixs in pou._neighbor_batches(pts):
         vals = pou.bump_jet(j, kk, pts.take(ixs, axis=1), order=0).value
         total[ixs] += vals / safe[ixs]
+        overlap[ixs] += vals != 0.0
     sums = np.where(covered, total, 0.0)
     collar = (cover.c1 + 2.0 * math.sqrt(domain.d - domain.ell)) \
         * 2.0 ** -j_max
@@ -782,6 +782,7 @@ def check_partition_diagnostics(domain, j_max=8, n_points=10000,
             float(covered.mean()), "certificatesExact": cert_ok,
             "levelCounts": {int(j): int(c) for j, c in counts.items()},
             "growthRates": tail, "ell": domain.ell,
+            "maxOverlap": int(overlap.max(initial=0)),
             "passed": _partition_passed(sum_err, cert_ok, tail, domain.ell)}
 
 

@@ -228,6 +228,23 @@ def test_norm_out_writes_json_and_no_csv(capsys, tmp_path):
         "norm-kondratiev.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["whitney", "--d", "2", "--ell", "0", "--j-max", "3"],
+    ["verify", "scaling"],
+    NORM + ["--m", "1"],
+    ["report"],
+], ids=["whitney", "verify", "norm", "report"])
+def test_out_naming_a_file_is_invalid_before_the_run(capsys, tmp_path, argv):
+    # each printed its report, then raised FileExistsError with exit 1
+    path = tmp_path / "taken"
+    path.write_text("kept")
+    assert main(argv + ["--out", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert path.read_text() == "kept"
+    assert [f.name for f in tmp_path.iterdir()] == ["taken"]
+
+
 def test_norm_rloc_localized(capsys):
     code, out = run(capsys, "norm", "--kind", "rloc-localized", "--m", "1",
                     "--a", "0.5", "--p", "2", "--d", "2", "--ell", "0",

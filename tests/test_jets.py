@@ -84,18 +84,6 @@ def test_reciprocal_and_power():
     assert float(p.value[0]) == pytest.approx(s ** 0.75, rel=1e-12)
 
 
-def test_derivative_jet_extracts_sub_jet():
-    pts = np.array([[0.5], [1.2]])
-    x, y = Jet.variables(pts, 4)
-    f = x * x * y * y  # d^(1,0) f = 2 x y^2
-    g = f.derivative_jet((1, 0))
-    assert g.order == 3
-    assert float(g.value[0]) == pytest.approx(2 * 0.5 * 1.2 ** 2, rel=1e-13)
-    # second derivative of the sub-jet equals the (1,2) derivative of f
-    assert float(g.derivative((0, 2))[0]) == pytest.approx(
-        float(f.derivative((1, 2))[0]), rel=1e-13)
-
-
 def test_compose_chain_rule():
     # h(t) = sin(t) composed with t(x,y) = x*y at (0.6, 0.9)
     pts = np.array([[0.6], [0.9]])
@@ -157,7 +145,7 @@ def test_operations_leave_operands_unchanged():
                f / g, f / 4.0, g.compose([g.value ** 2, 2 * g.value,
                                           2.0 + 0 * g.value, 0 * g.value]),
                f.power(-1.5), f.power(0), g.log(), f.sqrt(),
-               f.derivative_jet((1, 0, 1)), squared_norm_jet([x, y, z])]
+               squared_norm_jet([x, y, z])]
     for jet, old in zip(operands, before):
         for c, c0 in zip(jet.coeffs, old):
             assert np.array_equal(c, c0)
@@ -294,12 +282,6 @@ def test_derivatives_are_batch_arrays_equal_to_the_dense_reference(d, order):
             fac = float(np.prod([math.factorial(k) for k in alpha]))
             assert isinstance(got, np.ndarray) and got.shape == (7,)
             assert np.all(got == ref[n] * fac)
-            sub = a.derivative_jet(alpha)
-            assert_equal_slots(sub, [
-                ref[idx.index(tuple(g + k for g, k in zip(gamma, alpha)))]
-                * float(np.prod([math.factorial(g + k) / math.factorial(g)
-                                 for g, k in zip(gamma, alpha)]))
-                for gamma in multi_indices(d, order - sum(alpha))])
 
 
 def test_coordinate_jets_hold_float_structure():

@@ -9,7 +9,8 @@ import pytest
 from klab import norms, testfns, verify, wavelets
 from klab.embeddings import FAILS, HOLDS
 from klab.errors import EmptyFamily, InvalidParams
-from klab.geometry import ModelDomain, PartitionOfUnity
+from klab.geometry import ModelDomain, PartitionOfUnity, regularized_distance
+from klab.jets import multi_indices
 from klab.norms import SpaceParams
 from klab.testfns import make_test_function
 from klab.verify import (DIFFEO_CATALOG, EXPERIMENTS, check_classification_grid,
@@ -146,6 +147,26 @@ def test_wavelet_route_looks_the_transforms_up_at_call_time(dom, cover,
     assert kept > 1
     assert calls == {"wavelet_coefficients": kept + 1,
                      "f_sequence_norm": kept}
+
+
+@pytest.mark.parametrize("nodes, error, passed", [(1, 0.0144, False),
+                                                  (2, 0.0083, True)])
+def test_dual_route_fails_on_the_parseval_bound(nodes, error, passed):
+    # the cutoff's Parseval error lies either side of 0.01 on one and two
+    # nodes per dimension, while the ratio spread passes on both
+    r = check_dual_route(J=4, j_max=5, nodes_per_dim=nodes, parseval_J=4)
+    assert r.spread < r.spread_bound
+    assert r.notes["parsevalRelativeError"] == pytest.approx(error, rel=1e-2)
+    assert r.passed is passed
+
+
+def test_norm_equivalence_fails_when_doubling_moves_the_spread(monkeypatch):
+    # doubling the nodes moves criterion 2's spread by 9.0e-10
+    for tol, passed in ((1e-9, True), (8e-10, False)):
+        monkeypatch.setattr(verify, "DOUBLING_TOL", tol)
+        r = EXPERIMENTS["norm-equivalence"]()
+        assert r.notes["doublingChange"] == pytest.approx(9.0e-10, rel=1e-2)
+        assert r.passed is passed
 
 
 def test_dual_route_takes_all_cover_norms_from_one_pass(monkeypatch):
@@ -345,6 +366,55 @@ def test_divergence_not_a_counterexample_flag():
 
 def test_derivative_mapping(fam, dom, cover):
     r = check_derivative_mapping(fam, 2, (1, 0), 2.0, dom, cover)
+    assert r.passed
+
+
+def _derivative_mapping_reference(u, m, alpha, p, cover, nodes_per_dim):
+    """The derivative-mapping ratio from an independent ladder of u's own
+    jet: rows sum_{gamma >= alpha, |gamma| <= m} |d^gamma u|^p,
+    |rho^-(m-|alpha|) d^alpha u|^p, sum_{|gamma| <= m} |d^gamma u|^p and
+    |rho^-m u|^p, each rooted at its finest rung."""
+    k = sum(alpha)
+    gammas = multi_indices(len(alpha), m)
+
+    def integrand(x):
+        jet = u.jet(x, m)
+        rho = regularized_distance(x, u.domain)
+        powers = {g: np.abs(jet.derivative(g)) ** p for g in gammas}
+        return np.array([
+            sum(v for g, v in powers.items()
+                if all(i >= j for i, j in zip(g, alpha))),
+            np.abs(rho ** (k - m) * jet.derivative(alpha)) ** p,
+            sum(powers.values()),
+            np.abs(rho ** -m * jet.value) ** p])
+
+    num_s, num_w, den_s, den_w = (
+        ladder[-1][1] ** (1.0 / p) for ladder
+        in norms.integral_ladder(cover, integrand, nodes_per_dim))
+    return (num_s + num_w) / (den_s + den_w)
+
+
+@pytest.mark.parametrize("m, alpha, betas", [(2, (1, 0), (1.2, 2.0)),
+                                             (3, (0, 2), (2.5,))])
+def test_derivative_mapping_matches_an_independent_ladder(dom, m, alpha,
+                                                          betas):
+    # d^gamma d^alpha u read from u's own jet: the ratios equal those of
+    # the sums over gamma >= alpha taken from u.jet(x, m) directly
+    cover = standard_cover(dom, radius=2, j_max=6)
+    fam = default_family(dom, betas=betas, lambdas=(0.0, -0.7))
+    r = check_derivative_mapping(fam, m, alpha, 2.0, dom, cover,
+                                 nodes_per_dim=4)
+    assert len(r.ratios) == 2 * len(betas)
+    for u, ratio in zip(fam, r.ratios):
+        want = _derivative_mapping_reference(u, m, alpha, 2.0, cover, 4)
+        assert ratio == pytest.approx(want, rel=1e-12)
+
+
+def test_derivative_mapping_of_alpha_zero_is_the_identity(fam, dom):
+    cover = standard_cover(dom, radius=2, j_max=6)
+    r = check_derivative_mapping(fam, 2, (0, 0), 2.0, dom, cover,
+                                 nodes_per_dim=4)
+    assert len(r.ratios) > 1 and r.ratios == [1.0] * len(r.ratios)
     assert r.passed
 
 
