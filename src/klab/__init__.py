@@ -14,7 +14,7 @@ from .norms import (SpaceParams, NormValue, cover_norms, kondratiev_terms,
                     radial_reference_integral, FINITE, DIVERGENT, INCONCLUSIVE)
 from .wavelets import (WaveletSystem, CoefficientGrid, daubechies_filter,
                        build_wavelet_system, wavelet_coefficients,
-                       f_sequence_norm, synthesize)
+                       f_sequence_norm)
 from .embeddings import (Verdict, decide_embedding,
                          decide_embedding_holder_route,
                          decide_reverse_embedding, pde_regularity_tau,

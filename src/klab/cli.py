@@ -169,14 +169,14 @@ def _cmd_verify(args):
     from .verify import EXPERIMENTS
     name = "divergence" if args.name == "counterexample" else args.name
     if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}; known: "
+        print(f"error: unknown experiment {name!r}; known: "
               f"{', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return EXIT_INVALID
     given = {k: getattr(args, k) for k in DIVERGENCE_FLAGS
              if getattr(args, k) is not None}
     if given and name != "divergence":
-        print(f"only divergence takes --m, --a, --p, --tau, --d, --delta "
-              f"and --lambda, not {name}", file=sys.stderr)
+        print(f"error: only divergence takes --m, --a, --p, --tau, --d, "
+              f"--delta and --lambda, not {name}", file=sys.stderr)
         return EXIT_INVALID
     report = EXPERIMENTS[name](**given)
     if name == "divergence":
@@ -186,11 +186,13 @@ def _cmd_verify(args):
 
 def _cmd_report(args):
     """Recompute each stored CSV's statistics with its report type and
-    check that they equal the stored JSON (`roundTrip`)."""
+    check that they equal the stored JSON (`roundTrip`).  A report of a
+    type in REPORT_TYPES without its CSV, or a CSV without a known report
+    type, fails the round trip."""
     from .verify import REPORT_TYPES
     outdir = Path(args.out)
     if not outdir.is_dir():
-        print(f"no such directory: {outdir}", file=sys.stderr)
+        print(f"error: no such directory: {outdir}", file=sys.stderr)
         return EXIT_INVALID
     ok = True
     found = False
@@ -202,11 +204,12 @@ def _cmd_report(args):
         name = doc["experiment"]
         cf = outdir / f"{name}.csv"
         line = {"experiment": name, "pass": doc["pass"]}
-        if cf.exists():
-            with open(cf, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            report = REPORT_TYPES.get(doc.get("report"))
-            recomputed = report.recompute(rows) if report else {}
+        report = REPORT_TYPES.get(doc.get("report"))
+        if report or cf.exists():
+            recomputed = {}
+            if report and cf.exists():
+                with open(cf, newline="") as fh:
+                    recomputed = report.recompute(list(csv.DictReader(fh)))
             line["recomputed"] = recomputed
             line["roundTrip"] = bool(recomputed) and all(
                 doc["statistics"].get(k) == v for k, v in recomputed.items())
@@ -214,7 +217,7 @@ def _cmd_report(args):
         ok = ok and doc["pass"]
         print(json.dumps(line))
     if not found:
-        print("no stored reports found", file=sys.stderr)
+        print("error: no stored reports found", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK if ok else EXIT_FAILED
 

@@ -20,7 +20,8 @@ from .errors import InvalidParams, Unsupported
 from .norms import (NormValue, FINITE, INCONCLUSIVE, TAIL_SHARE_LIMIT,
                     tail_share)
 
-CASCADE_K = 12          # cascade-table resolution 2^-K
+CASCADE_K = 12          # resolution 2^-K of the reference cascade
+HOLDER_LEVELS = (8, 12)  # cascade resolutions of the regularity estimate
 MAX_LEVEL = 12          # deepest decomposition level
 
 # Frozen Holder regularity of the order-N orthonormal family (mother wavelet
@@ -83,10 +84,11 @@ def filter_orthonormality_defect(h):
 # Cascade evaluation
 # ---------------------------------------------------------------------------
 
-def _cascade(h, K=CASCADE_K):
-    """Scaling function phi and wavelet psi on the grid {i 2^-K} of
-    [0, F-1], F = len(h), via exact integer values (refinement eigenvector)
-    and dyadic refinement."""
+def _cascade(h):
+    """Scaling function phi on the grid {i 2^-CASCADE_K} of [0, F-1],
+    F = len(h), via exact integer values (refinement eigenvector) and
+    dyadic refinement: the reference the frozen REGULARITY table is
+    checked against."""
     F = len(h)
     # integer values: phi(n) for n = 1..F-2 from the eigenvalue-1 eigenvector
     n = F - 2
@@ -101,7 +103,7 @@ def _cascade(h, K=CASCADE_K):
     vec = vec / np.sum(vec)                      # sum phi(n) = 1
     level_vals = np.zeros(F)                     # phi on the integer grid
     level_vals[1:F - 1] = vec
-    for lev in range(1, K + 1):
+    for lev in range(1, CASCADE_K + 1):
         prev = level_vals
         cur = np.zeros((F - 1) * 2 ** lev + 1)
         cur[::2] = prev
@@ -115,17 +117,7 @@ def _cascade(h, K=CASCADE_K):
             acc[ok] += np.sqrt(2.0) * h[m] * prev[ii[ok]]
         cur[1::2] = acc
         level_vals = cur
-    phi_tab = level_vals
-    # psi(x) = sqrt(2) sum g_m phi(2x - m), g_m = (-1)^m h_{F-1-m}; for
-    # x = i 2^-K, 2x - m is point 2i - m 2^K of the same grid
-    g = np.array([(-1) ** m * h[F - 1 - m] for m in range(F)])
-    i = np.arange(len(phi_tab))
-    psi_tab = np.zeros_like(phi_tab)
-    for m in range(F):
-        ii = 2 * i - m * 2 ** K
-        ok = (ii >= 0) & (ii < len(phi_tab))
-        psi_tab[ok] += np.sqrt(2.0) * g[m] * phi_tab[ii[ok]]
-    return phi_tab, psi_tab, g
+    return level_vals
 
 
 @dataclass(frozen=True)
@@ -134,18 +126,7 @@ class WaveletSystem:
     gfilter: np.ndarray                # wavelet filter g
     order: int                         # vanishing moments N
     regularity_order: float
-    phi_table: np.ndarray              # phi on [0, 2N-1], step 2^-CASCADE_K
-    psi_table: np.ndarray
     first_moment: float                # int x phi(x) dx
-
-    def phi(self, x):
-        """Scaling function by table interpolation (0 outside support)."""
-        grid = np.arange(len(self.phi_table)) / 2.0 ** CASCADE_K
-        return np.interp(x, grid, self.phi_table, left=0.0, right=0.0)
-
-    def psi(self, x):
-        grid = np.arange(len(self.psi_table)) / 2.0 ** CASCADE_K
-        return np.interp(x, grid, self.psi_table, left=0.0, right=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -158,25 +139,24 @@ def build_wavelet_system(m):
     else:
         raise Unsupported(f"no tabulated filter with regularity > {m}")
     h = daubechies_filter(N)
-    phi_tab, psi_tab, g = _cascade(h)
-    mu = float(np.dot(np.arange(len(h)), h)) / np.sqrt(2.0)
-    for arr in (h, g, phi_tab, psi_tab):
+    F = len(h)
+    g = np.array([(-1) ** i * h[F - 1 - i] for i in range(F)])
+    mu = float(np.dot(np.arange(F), h)) / np.sqrt(2.0)
+    for arr in (h, g):
         arr.setflags(write=False)
     return WaveletSystem(filter=h, gfilter=g, order=N,
-                         regularity_order=REGULARITY[N],
-                         phi_table=phi_tab, psi_table=psi_tab,
-                         first_moment=mu)
+                         regularity_order=REGULARITY[N], first_moment=mu)
 
 
-def estimate_holder_regularity(system, levels=(8, 12)):
-    """Cascade-based Holder exponent: the max increment of phi at dyadic
-    spacing h scales like h^alpha, so alpha is the log2 slope between two
-    resolutions."""
-    vals = []
-    for K in levels:
-        tab = system.phi_table[::2 ** (CASCADE_K - K)]
-        vals.append(np.max(np.abs(np.diff(tab))))
-    return float(np.log2(vals[0] / vals[1]) / (levels[1] - levels[0]))
+def estimate_holder_regularity(h):
+    """Cascade-based Holder exponent of the scaling function of filter h:
+    the max increment of phi at dyadic spacing 2^-K scales like 2^-K alpha,
+    so alpha is the log2 slope between the HOLDER_LEVELS resolutions."""
+    phi = _cascade(h)
+    vals = [np.max(np.abs(np.diff(phi[::2 ** (CASCADE_K - K)])))
+            for K in HOLDER_LEVELS]
+    return float(np.log2(vals[0] / vals[1])
+                 / (HOLDER_LEVELS[1] - HOLDER_LEVELS[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +217,12 @@ def _analyze_axis(arr, origin, bank, axis):
                        axis), k0
 
 
-def wavelet_coefficients(u, system, J, box, projection="sample"):
+def wavelet_coefficients(u, system, J, box):
     """Analysis transform of u on the given box down from level J.
 
-    projection="sample": initial level-J scaling coefficients by one-point
-    first-moment-corrected sampling c_{J,k} = 2^{-Jd/2} u(2^{-J}(k + mu))
-    (second-order accurate for smooth u).  projection="table": composite
-    quadrature of u against the cascade table (d = 1 only); exact up to the
-    table resolution, used for orthonormality experiments.
+    The level-J scaling coefficients are one-point first-moment-corrected
+    samples c_{J,k} = 2^{-Jd/2} u(2^{-J}(k + mu)) (second-order accurate
+    for smooth u).
 
     Each level is d passes of `_analyze_axis` with the bank (h, g) over one
     array: pass i appends a gender axis (0 = 'A', 1 = 'D') for axis i, so
@@ -257,40 +235,24 @@ def wavelet_coefficients(u, system, J, box, projection="sample"):
     stack is freed one level later.
     """
     if J > MAX_LEVEL:
-        raise Unsupported(f"J capped at {MAX_LEVEL} by the cascade resolution")
+        raise Unsupported(f"J capped at {MAX_LEVEL}")
     lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
     d = len(lo)
     F = len(system.filter)
     k_lo = np.floor(lo * 2 ** J).astype(int) - (F - 1)
     k_hi = np.ceil(hi * 2 ** J).astype(int) + 1
     shape = tuple(k_hi - k_lo)
-    if projection == "sample":
-        axes = [(np.arange(k_lo[i], k_hi[i]) + system.first_moment)
-                * 2.0 ** -J for i in range(d)]
-        arr = np.empty(shape)
-        chunk = max(1, 2 ** 19 // max(1, int(np.prod(shape[1:]))))
-        for r0 in range(0, shape[0], chunk):
-            r1 = min(r0 + chunk, shape[0])
-            grids = np.meshgrid(axes[0][r0:r1], *axes[1:], indexing="ij")
-            pts = np.stack([g.ravel() for g in grids])
-            arr[r0:r1] = np.asarray(u(pts), dtype=float).reshape(
-                (r1 - r0,) + shape[1:])
-        arr *= 2.0 ** (-J * d / 2.0)
-    elif projection == "table":
-        if d != 1:
-            raise Unsupported("table projection implemented for d = 1")
-        # c_{J,k} = 2^{-J/2} 2^{-K} sum_i u(2^{-J}(t_i + k)) phi(t_i) with
-        # t_i = i 2^{-K}: a strided correlation of fine samples with phi.
-        stride = 2 ** CASCADE_K
-        n0 = k_lo[0] * stride
-        n1 = (k_hi[0] - 1 + F - 1) * stride
-        xs = np.arange(n0, n1 + 1) * 2.0 ** -(CASCADE_K + J)
-        samples = np.asarray(u(xs[None, :]), dtype=float).ravel()
-        windows = sliding_window_view(samples, len(system.phi_table))
-        arr = windows[::stride][:shape[0]] @ system.phi_table \
-            * 2.0 ** -CASCADE_K * 2.0 ** (-J / 2.0)
-    else:
-        raise InvalidParams("projection must be 'sample' or 'table'")
+    axes = [(np.arange(k_lo[i], k_hi[i]) + system.first_moment)
+            * 2.0 ** -J for i in range(d)]
+    arr = np.empty(shape)
+    chunk = max(1, 2 ** 19 // max(1, int(np.prod(shape[1:]))))
+    for r0 in range(0, shape[0], chunk):
+        r1 = min(r0 + chunk, shape[0])
+        grids = np.meshgrid(axes[0][r0:r1], *axes[1:], indexing="ij")
+        pts = np.stack([g.ravel() for g in grids])
+        arr[r0:r1] = np.asarray(u(pts), dtype=float).reshape(
+            (r1 - r0,) + shape[1:])
+    arr *= 2.0 ** (-J * d / 2.0)
 
     bank = np.stack([system.filter, system.gfilter], 1)
     genders = list(np.ndindex((2,) * d))         # genders[0] is 'A' * d
@@ -306,20 +268,6 @@ def wavelet_coefficients(u, system, J, box, projection="sample"):
         arr = arr[(...,) + genders[0]]
     grid.levels.setdefault(0, {})["A" * d] = (tuple(origin), arr.copy())
     return grid
-
-
-def synthesize(system, j, k, gender, d):
-    """Callable for the tensor wavelet 2^{jd/2} Psi^G(2^j x - k)."""
-    k = tuple(k)
-
-    def fn(x):
-        out = np.full(x.shape[1], 2.0 ** (j * d / 2.0))
-        for i in range(d):
-            t = 2.0 ** j * x[i] - k[i]
-            out = out * (system.phi(t) if gender[i] == "A" else system.psi(t))
-        return out
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -71,6 +73,34 @@ def test_no_regression_rule_inside_and_outside_the_bound(capsys):
                                          "change": [_result(9.0, 1.0)]}
                                )["metrics"]["run_s"]["worse_beyond_bound"] \
         is None
+
+
+def test_metric_is_unresolved_when_the_parent_spread_exceeds_the_bound(
+        capsys):
+    # run_s: parent IQR 0.3 against 0.25 * 1.0, so unresolved even though
+    # the change median holds; ops_per_s: IQR 1.5 against 0.25 * 10.0
+    metrics = [dict(m, bound=0.25) for m in METRICS]
+    summ = bench_pairs.summary(metrics, {
+        "parent": [_result(v, r) for v, r in
+                   ((0.8, 9.0), (0.9, 9.5), (1.0, 10.0), (1.1, 10.5),
+                    (1.2, 11.0))],
+        "change": [_result(1.0, 10.0)] * 5})
+    run, rate = summ["metrics"]["run_s"], summ["metrics"]["ops_per_s"]
+    assert run["parent_iqr"] == pytest.approx(0.3, abs=1e-15)
+    assert (run["unresolved"], run["worse_beyond_bound"]) == (True, False)
+    assert rate["parent_iqr"] == 1.5 and rate["unresolved"] is False
+    bench_pairs.print_summary(summ)
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith("25% held unresolved")
+    assert out[2].endswith("25% held")
+    # at the bound exactly the metric is resolved; without one, not judged
+    edge = bench_pairs.summary(metrics, {
+        "parent": [_result(v, 10.0) for v in (0.875, 1.0, 1.125)],
+        "change": [_result(1.0, 10.0)] * 3})["metrics"]["run_s"]
+    assert edge["parent_iqr"] == 0.25 and edge["unresolved"] is False
+    assert bench_pairs.summary(METRICS, {"parent": [_result(1.0, 10.0)],
+                                         "change": [_result(9.0, 1.0)]}
+                               )["metrics"]["run_s"]["unresolved"] is None
 
 
 def test_run_side_keeps_the_result_and_the_provenance(monkeypatch):

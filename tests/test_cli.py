@@ -413,6 +413,40 @@ def test_report_empty_dir(tmp_path):
     assert main(["report", "--out", str(tmp_path)]) == EXIT_INVALID
 
 
+def test_report_of_a_known_type_without_its_csv_fails(capsys, tmp_path):
+    # a norm report has no CSV and no report type to recompute, so it
+    # takes no round trip; a truth table without its CSV used to pass
+    main(["verify", "truth-table", "--out", str(tmp_path)])
+    main([*NORM, "--m", "1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_OK
+    (tmp_path / "truth-table.csv").unlink()
+    code, out = run(capsys, "report", "--out", str(tmp_path))
+    assert code == EXIT_FAILED
+    lines = {rec["experiment"]: rec
+             for rec in map(json.loads, out.splitlines())}
+    assert lines["truth-table"]["roundTrip"] is False
+    assert lines["truth-table"]["recomputed"] == {}
+    assert "roundTrip" not in lines["norm-kondratiev"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "nonexistent"],
+    ["verify", "scaling", "--m", "3"],
+    ["report", "--out", "{tmp}/missing"],
+    ["report", "--out", "{tmp}"],
+    ["adaptivity", "--m", "1", "--d", "0"],
+    ["whitney", "--d", "2", "--ell", "0", "--out", "{tmp}/taken"],
+], ids=["unknown-experiment", "flag-off-divergence", "missing-dir",
+        "no-reports", "out-of-range", "out-is-a-file"])
+def test_every_invalid_input_message_starts_with_error(capsys, tmp_path,
+                                                       argv):
+    (tmp_path / "taken").write_text("kept")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_scaling(capsys, tmp_path):
     code, out = run(capsys, "verify", "scaling", "--out", str(tmp_path))
     assert code == EXIT_OK

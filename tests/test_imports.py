@@ -65,7 +65,7 @@ def test_no_module_level_scipy_import(path):
     assert module_level_scipy_imports(path) == []
 
 
-# Import klab, run the wavelet route (both projections, the square
+# Import klab, run the wavelet route (the transform and the square
 # function) and one level batch of partition-of-unity pieces, then list the
 # scipy modules loaded.
 WAVELET_AND_PIECES = """
@@ -82,7 +82,6 @@ system = build_wavelet_system(1)
 gauss = lambda x: np.exp(-4.0 * np.sum(x ** 2, axis=0))
 grid = wavelet_coefficients(gauss, system, 4, ((-1.0, -1.0), (1.0, 1.0)))
 f_sequence_norm(grid, s=1.0, tau=0.9)
-wavelet_coefficients(gauss, system, 3, ((-1.0,), (1.0,)), projection="table")
 dom = ModelDomain(2, 0)
 cover = whitney_cover(dom, ((-1, -1), (1, 1)), 2)
 u = make_test_function(1.2, 0.0, 1.0, dom)

@@ -11,7 +11,7 @@ from klab.errors import InvalidParams, Unsupported
 from klab.wavelets import (CASCADE_K, REGULARITY, CoefficientGrid,
                            build_wavelet_system, daubechies_filter,
                            estimate_holder_regularity, f_sequence_norm,
-                           filter_orthonormality_defect, synthesize,
+                           filter_orthonormality_defect,
                            wavelet_coefficients)
 
 
@@ -60,18 +60,17 @@ def test_build_system_unsupported_order():
 
 
 def test_cascade_partition_of_unity():
-    # scaling function translates sum to 1 (stable cascade normalization)
-    system = build_wavelet_system(1)
-    xs = np.linspace(0.0, 1.0, 17)[:-1]
-    total = np.zeros_like(xs)
-    for k in range(-len(system.filter), 2):
-        total += system.phi(xs - k)
+    # scaling function translates sum to 1 (stable cascade normalization):
+    # phi(x + k) over k = 0 .. F - 2, at every grid point x in [0, 1)
+    phi = wavelets._cascade(build_wavelet_system(1).filter)
+    step = 2 ** CASCADE_K
+    total = sum(phi[k * step:(k + 1) * step] for k in range(len(phi) // step))
     assert np.allclose(total, 1.0, atol=1e-9)
 
 
 def test_estimated_regularity_matches_table():
     system = build_wavelet_system(1)
-    est = estimate_holder_regularity(system)
+    est = estimate_holder_regularity(system.filter)
     assert est == pytest.approx(REGULARITY[system.order], abs=0.15)
 
 
@@ -209,23 +208,46 @@ def test_support_hulls_of_lone_fine_coefficients():
     assert list(wavelets._support_hulls(grid, [0, 1, 2])[0][0]) == [-2, 0]
 
 
-def test_impulse_reconstruction(sys1):
-    # u = a single level-3 wavelet: its coefficient grid is a unit impulse
-    j0, k0 = 3, (1,)
-    u = synthesize(sys1, j0, k0, "D", d=1)
-    grid = wavelet_coefficients(u, sys1, 7, ((-2.0,), (2.0,)),
-                                projection="table")
-    hits = []
-    for j, genders in grid.levels.items():
-        for gender, (origin, arr) in genders.items():
-            a = np.asarray(arr)
-            for idx in np.argwhere(np.abs(a) > 1e-4):
-                kk = tuple(int(o + i) for o, i in zip(origin, idx))
-                hits.append((j, gender, kk, float(a[tuple(idx)])))
-    assert len(hits) == 1
-    j, gender, kk, val = hits[0]
-    assert (j, gender, kk) == (j0, "D", k0)
-    assert val == pytest.approx(1.0, abs=1e-6)
+def synthesized_wavelet(system, J, j0=3, k0=1):
+    """A d = 1 function whose sampled level-J scaling coefficients are
+    those of the single wavelet psi_{j0,k0}: Mallat's synthesis filter
+    bank A_n = sum_k a_k f_{n-2k} applied to the level-j0 detail impulse,
+    with f = g once and then f = h up to level J.  The analysis of the
+    orthonormal bank inverts it exactly, up to rounding."""
+    origin, coeffs = k0, np.ones(1)
+    for filt in [system.gfilter] + [system.filter] * (J - j0 - 1):
+        up = np.zeros(2 * len(coeffs) - 1)
+        up[::2] = coeffs
+        origin, coeffs = 2 * origin, np.convolve(up, filt)
+
+    def u(x):
+        # the sampler evaluates u at 2^-J (k + mu) and scales by 2^(-J/2)
+        k = np.rint(x[0] * 2.0 ** J - system.first_moment).astype(int) \
+            - origin
+        inside = (k >= 0) & (k < len(coeffs))
+        out = np.zeros(x.shape[1])
+        out[inside] = coeffs[k[inside]] * 2.0 ** (J / 2.0)
+        return out
+
+    return u
+
+
+def test_impulse_reconstruction():
+    # u = a single level-3 wavelet: its coefficient grid is a unit impulse,
+    # for the 6-tap (m = 1) and the 12-tap (m = 2) filters
+    for m in (1, 2):
+        system = build_wavelet_system(m)
+        grid = wavelet_coefficients(synthesized_wavelet(system, 7), system,
+                                    7, ((-2.0,), (2.0,)))
+        seen = 0
+        for j, genders in grid.levels.items():
+            for gender, ((o,), arr) in genders.items():
+                want = np.zeros_like(arr)
+                if (j, gender) == (3, "D"):
+                    want[1 - o] = 1.0
+                    seen += 1
+                assert np.max(np.abs(arr - want)) <= 1e-12, (m, j, gender)
+        assert seen == 1
 
 
 def test_parseval_1d(sys1):
@@ -322,8 +344,8 @@ ACTIVE_BOX_GRIDS = {
         ((-2.0, -2.0), (2.0, 2.0))), 2),
     # one level-3 wavelet: every other coefficient is at rounding level
     "impulse": lambda: wavelet_coefficients(
-        synthesize(build_wavelet_system(1), 3, (1,), "D", d=1),
-        build_wavelet_system(1), 7, ((-2.0,), (2.0,)), projection="table"),
+        synthesized_wavelet(build_wavelet_system(1), 7),
+        build_wavelet_system(1), 7, ((-2.0,), (2.0,))),
     "ragged": lambda: _ragged_bands(wavelet_coefficients(
         _clipped_bump((0.3, 0.5), 0.8), build_wavelet_system(1), 5,
         ((-2.0, -2.0), (2.0, 2.0)))),
@@ -372,8 +394,7 @@ def test_coefficient_decay_of_smooth_function(sys1):
 def test_wavelet_system_is_shared_and_read_only():
     system = build_wavelet_system(2)
     assert build_wavelet_system(2) is system
-    for arr in (system.filter, system.gfilter, system.phi_table,
-                system.psi_table):
+    for arr in (system.filter, system.gfilter):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -543,20 +564,3 @@ def test_gender_bands_compose_axis_by_axis(monkeypatch, m, d):
         swapped = gender[::-1]
         if swapped != gender:
             assert np.max(np.abs(bands[swapped][1] - want)) > 1e3 * tol
-
-
-def test_table_projection_is_per_k_dot_product(sys1, monkeypatch):
-    # level-J scaling coefficients: c_k = 2^{-J/2} 2^{-K} sum_i
-    # u(2^{-J}(t_i + k)) phi(t_i), t_i = i 2^{-K}, one dot product per k
-    def u(x):
-        return np.exp(-3.0 * x[0] ** 2) * (1.0 + x[0])
-
-    seen = capture_first_analysis(monkeypatch)
-    J = 3
-    wavelet_coefficients(u, sys1, J, ((-1.0,), (1.0,)), projection="table")
-    data, k_lo = seen[0]
-    t = np.arange(len(sys1.phi_table)) * 2.0 ** -CASCADE_K
-    want = [2.0 ** (-J / 2) * 2.0 ** -CASCADE_K
-            * np.dot(u(((t + k) * 2.0 ** -J)[None, :]), sys1.phi_table)
-            for k in range(k_lo, k_lo + len(data))]
-    assert np.max(np.abs(data - want)) <= 1e-14 * np.max(np.abs(want))

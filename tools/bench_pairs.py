@@ -14,12 +14,15 @@ the run_seconds of BENCHMARK.json one after the other, with the side that
 runs first swapped from one pair to the next, so drift in the host's speed
 falls on both.  For each end-to-end metric of BENCHMARK.json the tool prints the
 median and quartiles on each side, how many pairs the change won (ties
-count for neither side), the parent's interquartile range, and whether
+count for neither side), the parent's interquartile range, whether
 the change median is worse than the parent median by more than the
-metric's relative bound (the no-regression rule); then the failed and
-attempted operation counts of each side.  With --out it also
-writes that summary as JSON, with the seeds, the run length, both sides'
-commits and the provenance their benchmark runs printed.
+metric's relative bound (the no-regression rule), and whether the metric
+is unresolved: the parent's interquartile range alone exceeds the bound
+times the parent median, so a move the size of the bound cannot be told
+from spread; then the failed and attempted operation counts of each
+side.  With --out it also writes that summary as JSON, with the seeds,
+the run length, both sides' commits and the provenance their benchmark
+runs printed.
 
     python3 tools/bench_pairs.py --trajectory
 
@@ -100,9 +103,9 @@ def beyond_bound(parent, change, better, bound):
 
 def summary(metrics, results):
     """Per end-to-end metric: each side's median and quartiles, the pairs
-    the change won, the parent's interquartile range and whether the
-    change median breaks the metric's bound; per side: the failed and
-    attempted operations."""
+    the change won, the parent's interquartile range, whether the change
+    median breaks the metric's bound and whether that spread leaves the
+    metric unresolved; per side: the failed and attempted operations."""
     out = {"metrics": {}, "operations": {}}
     for spec in metrics:
         name = spec["name"]
@@ -122,6 +125,8 @@ def summary(metrics, results):
         row["worse_beyond_bound"] = beyond_bound(
             row["parent"]["median"], row["change"]["median"], spec["better"],
             row["bound"])
+        row["unresolved"] = None if row["bound"] is None else \
+            row["parent_iqr"] > row["bound"] * abs(row["parent"]["median"])
         out["metrics"][name] = row
     for side in ("parent", "change"):
         out["operations"][side] = {
@@ -131,7 +136,8 @@ def summary(metrics, results):
 
 
 def print_summary(summ):
-    """One row per end-to-end metric, then the operation counts."""
+    """One row per end-to-end metric, then the operation counts; an
+    unresolved metric's row ends in "unresolved"."""
     print(f"{'metric':14s} {'parent median [q1, q3]':>34s} "
           f"{'change median [q1, q3]':>34s} {'wins':>7s} {'parent IQR':>11s} "
           f"{'bound':>13s}")
@@ -143,8 +149,9 @@ def print_summary(summ):
         verdict = {None: "-", False: "held", True: "WORSE"}[
             row["worse_beyond_bound"]]
         bound = "" if row["bound"] is None else f"{row['bound']:.0%} "
+        flag = " unresolved" if row["unresolved"] else ""
         print(f"{name:14s} {cols[0]:>34s} {cols[1]:>34s} {wins} "
-              f"{row['parent_iqr']:11.4f} {bound + verdict:>13s}")
+              f"{row['parent_iqr']:11.4f} {bound + verdict:>13s}{flag}")
     for side, ops in summ["operations"].items():
         print(f"{side}: {ops['failed']} failed of {ops['attempted']} "
               f"operations attempted")
